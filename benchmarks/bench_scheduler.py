@@ -1,10 +1,10 @@
-"""Scheduler benchmarks: legacy sweep loop vs event-driven ready set.
+"""Run-loop benchmarks: the precise oracle vs the fast path.
 
-Times the same runs under the two ``SystemConfig`` scheduler settings —
-the legacy round-robin loop with per-word queue ops, and the event-driven
-ready-set scheduler with batched firing (the default) — over jpeg, mp3 and
-the fft DSP kernel at two MTBEs under all four protection levels, plus the
-reduced Figure 10 quality campaign.
+Times the same runs under the two ``SystemConfig`` execution modes — the
+precise oracle (legacy round-robin loop, per-word transfers) and the fast
+path (event-driven ready set, batched transfers, quiet spans; the
+default) — over jpeg, mp3 and the fft DSP kernel at two MTBEs under all
+four protection levels, plus the reduced Figure 10 quality campaign.
 
 Each (app, protection, MTBE) cell is one pytest-benchmark *group*, so
 
@@ -23,10 +23,10 @@ from repro.experiments.sweeps import MTBE_LADDER_QUALITY
 from repro.machine.protection import ProtectionLevel
 from repro.machine.system import SystemConfig, run_program
 
-#: The two ends of the comparison: everything off vs everything on.
+#: The two execution modes: the oracle and the default fast path.
 CONFIGS = {
-    "legacy": SystemConfig(scheduler="legacy", batch_ops=False),
-    "event": SystemConfig(scheduler="event", batch_ops=True),
+    "precise": SystemConfig(exec_mode="precise"),
+    "fast": SystemConfig(),
 }
 
 BENCH_APPS = ("jpeg", "mp3", "fft")

@@ -1,28 +1,26 @@
 #!/usr/bin/env python3
-"""Record the simulator scheduler benchmark into ``BENCH_simulator.json``.
+"""Record the simulator exec-mode benchmark into ``BENCH_simulator.json``.
 
-Times identical runs under the legacy round-robin scheduler (per-word
-queue ops) and the event-driven ready-set scheduler with batched firing —
-the ``SystemConfig`` default — and writes one machine-readable report at
-the repo root.  The matrix is jpeg, mp3 and the fft DSP kernel at two
+Times identical runs under the two execution modes — the precise oracle
+(``SystemConfig(exec_mode="precise")``: legacy round-robin loop, per-word
+transfers) and the fast path (the default: event-driven ready set,
+batched transfers, quiet spans) — and writes one machine-readable report
+at the repo root.  The matrix is jpeg, mp3 and the fft DSP kernel at two
 MTBEs under all four protection levels, plus the reduced Figure 10
-quality campaign (the sweep the speedup target is defined on).
-
-It also times the quiet-span fast path against the per-word precise
-oracle (``SystemConfig(exec_mode=...)``) on the high-MTBE rungs of the
-same campaign — the sparse-error regime the fast path is built for.
+quality campaign (the sweep the speedup target is defined on) and its
+high-MTBE rungs alone, the sparse-error regime the quiet span is built
+for.
 
 Usage::
 
     PYTHONPATH=src python scripts/record_bench.py [--scale 0.25]
         [--repeats 2] [--out BENCH_simulator.json] [--check]
 
-``--check`` exits non-zero when the event scheduler is slower than the
-legacy one on the campaign, or when the fast path falls under 1.2x over
-precise on the high-MTBE campaign — CI runs with it so a scheduling or
-fast-path regression fails the build.  Timings are best-of-``--repeats``
-wall clock; all configurations produce bit-identical results (enforced
-by ``tests/machine/test_scheduler_equivalence.py`` and
+``--check`` exits non-zero when the fast path is slower than precise on
+the campaign, or falls under 1.2x over precise on the high-MTBE
+campaign — CI runs with it so a fast-path regression fails the build.
+Timings are best-of-``--repeats`` wall clock; both modes produce
+bit-identical results (enforced by
 ``tests/machine/test_exec_mode_equivalence.py``), so only time differs.
 """
 
@@ -46,11 +44,6 @@ from repro.machine.protection import ProtectionLevel  # noqa: E402
 from repro.machine.system import SystemConfig, run_program  # noqa: E402
 
 CONFIGS = {
-    "legacy": SystemConfig(scheduler="legacy", batch_ops=False),
-    "event": SystemConfig(scheduler="event", batch_ops=True),
-}
-
-EXEC_CONFIGS = {
     "precise": SystemConfig(exec_mode="precise"),
     "fast": SystemConfig(),  # exec_mode="fast" is the default
 }
@@ -111,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 if the event scheduler is slower than legacy",
+        help="exit 1 if the fast path misses its floors over precise",
     )
     args = parser.parse_args(argv)
 
@@ -130,11 +123,11 @@ def main(argv: list[str] | None = None) -> int:
                 ),
                 args.repeats,
             )
-        speedup = timings["legacy"] / timings["event"]
+        speedup = timings["precise"] / timings["fast"]
         rate = "error-free" if mtbe is None else f"{mtbe // 1000}k"
         print(
             f"{app_name:5s} {level.value:22s} {rate:>10s}  "
-            f"legacy {timings['legacy']:7.3f}s  event {timings['event']:7.3f}s  "
+            f"precise {timings['precise']:7.3f}s  fast {timings['fast']:7.3f}s  "
             f"{speedup:5.2f}x"
         )
         grid.append(
@@ -142,8 +135,8 @@ def main(argv: list[str] | None = None) -> int:
                 "app": app_name,
                 "protection": level.value,
                 "mtbe": mtbe,
-                "legacy_s": round(timings["legacy"], 4),
-                "event_s": round(timings["event"], 4),
+                "precise_s": round(timings["precise"], 4),
+                "fast_s": round(timings["fast"], 4),
                 "speedup": round(speedup, 3),
             }
         )
@@ -163,17 +156,17 @@ def main(argv: list[str] | None = None) -> int:
         name: time_call(lambda: campaign(config, campaign_points()), args.repeats)
         for name, config in CONFIGS.items()
     }
-    campaign_speedup = campaign_s["legacy"] / campaign_s["event"]
+    campaign_speedup = campaign_s["precise"] / campaign_s["fast"]
     print(
         f"\nfig10 reduced campaign ({len(campaign_points())} runs): "
-        f"legacy {campaign_s['legacy']:.3f}s  event {campaign_s['event']:.3f}s  "
+        f"precise {campaign_s['precise']:.3f}s  fast {campaign_s['fast']:.3f}s  "
         f"{campaign_speedup:.2f}x"
     )
 
     high_points = [p for p in campaign_points() if p[2] >= HIGH_MTBE_FLOOR]
     fast_path_s = {
         name: time_call(lambda: campaign(config, high_points), args.repeats)
-        for name, config in EXEC_CONFIGS.items()
+        for name, config in CONFIGS.items()
     }
     fast_path_speedup = fast_path_s["precise"] / fast_path_s["fast"]
     print(
@@ -185,10 +178,11 @@ def main(argv: list[str] | None = None) -> int:
 
     speedups = [cell["speedup"] for cell in grid]
     report = {
-        "benchmark": "simulator-scheduler",
+        "benchmark": "simulator-exec-mode",
         "configs": {
-            "legacy": "round-robin sweep loop, per-word queue ops",
-            "event": "event-driven ready set, batched firing (default)",
+            "precise": "oracle: round-robin sweep loop, per-word transfers",
+            "fast": "event-driven ready set, batched transfers, quiet spans "
+            "(default)",
         },
         "scale": args.scale,
         "repeats": args.repeats,
@@ -198,16 +192,12 @@ def main(argv: list[str] | None = None) -> int:
         "campaign": {
             "name": "fig10-reduced",
             "runs": len(campaign_points()),
-            "legacy_s": round(campaign_s["legacy"], 4),
-            "event_s": round(campaign_s["event"], 4),
+            "precise_s": round(campaign_s["precise"], 4),
+            "fast_s": round(campaign_s["fast"], 4),
             "speedup": round(campaign_speedup, 3),
         },
         "fast_path": {
             "name": "fig10-reduced-high-mtbe",
-            "configs": {
-                "precise": "per-word oracle (exec_mode='precise')",
-                "fast": "quiet-span bulk firing (exec_mode='fast', default)",
-            },
             "mtbe_floor": HIGH_MTBE_FLOOR,
             "runs": len(high_points),
             "precise_s": round(fast_path_s["precise"], 4),
@@ -230,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     failed = False
     if args.check and campaign_speedup < 1.0:
         print(
-            "FAIL: event scheduler slower than legacy on the fig10 campaign",
+            "FAIL: fast path slower than precise on the fig10 campaign",
             file=sys.stderr,
         )
         failed = True

@@ -20,8 +20,9 @@ This module is the single front door over that stack::
 Inputs are forgiving: *app* is a registry name or a prebuilt
 :class:`~repro.apps.base.BenchmarkApp`; *protection* is a
 :class:`~repro.machine.protection.ProtectionLevel` or any spelling its
-:meth:`~repro.machine.protection.ProtectionLevel.parse` accepts; *trace*
-is anything :func:`~repro.observability.coerce_tracer` understands
+:meth:`~repro.machine.protection.ProtectionLevel.parse` accepts;
+``EngineOptions.trace`` is anything
+:func:`~repro.observability.coerce_tracer` understands
 (``True`` collects events in memory, a path streams JSONL there, a ready
 tracer passes through).
 
@@ -34,13 +35,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.apps.base import BenchmarkApp
-from repro.apps.registry import APP_BUILDERS, build_app
+from repro.apps.registry import APP_BUILDERS
 from repro.core.config import CommGuardConfig
 from repro.experiments.aggregate import CellStats, summarize
 from repro.experiments.cache import record_from_dict, record_to_dict
@@ -52,7 +52,7 @@ from repro.experiments.parallel import (
     RunSpec,
     SweepStats,
 )
-from repro.experiments.runner import RunRecord, SimulationRunner
+from repro.experiments.runner import RunRecord, SimulationRunner, run_app
 from repro.machine.errors import ErrorModel
 from repro.machine.faults import DEFAULT_FAULT_MODEL, FaultModelSpec
 from repro.machine.protection import ProtectionLevel
@@ -63,13 +63,15 @@ from repro.quality.metrics import QUALITY_CAP_DB, clamp_db
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.observability.events import TraceEvent
-    from repro.observability.tracer import Tracer
 
 
 def resolve_app(app: str | BenchmarkApp, scale: float = 1.0) -> BenchmarkApp:
     """Normalize an app argument: a registry name or a prebuilt app.
 
-    Raises ``ValueError`` listing the valid names for unknown strings.
+    A prebuilt app passes through untouched.  A name resolves to the build
+    cached per *scale* in this process, so repeated :func:`run` /
+    :func:`sweep` calls never rebuild an app or its reference.  Raises
+    ``ValueError`` listing the valid names for unknown strings.
     """
     if isinstance(app, BenchmarkApp):
         return app
@@ -77,7 +79,7 @@ def resolve_app(app: str | BenchmarkApp, scale: float = 1.0) -> BenchmarkApp:
         raise ValueError(
             f"unknown app {app!r}; valid choices: {', '.join(sorted(APP_BUILDERS))}"
         )
-    return build_app(app, scale=scale)
+    return _runner_for(scale).app(app)
 
 
 def parse_mtbe(text: str | float | int | None) -> float | None:
@@ -250,9 +252,9 @@ class RunReport:
     record: RunRecord
     result: RunResult | None = None
     app: BenchmarkApp | AppInfo = AppInfo(name="?")
-    #: Where the JSONL trace was written, when *trace* was a path.
+    #: Where the JSONL trace was written, when ``options.trace`` was a path.
     trace_path: Path | None = None
-    #: Collected events, when *trace* was ``True`` (in-memory tracing).
+    #: Collected events, when ``options.trace`` was ``True`` (in memory).
     events: "list[TraceEvent] | None" = field(default=None, repr=False)
     #: The :class:`~repro.observability.ProfileSession` the run filled in,
     #: when one was passed as ``profile=``.  In-memory only, like
@@ -331,10 +333,6 @@ def _runner_for(scale: float) -> SimulationRunner:
     return _RUNNERS[scale]
 
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit ``None``.
-_UNSET = object()
-
-
 def run(
     app: str | BenchmarkApp,
     protection: ProtectionLevel | str = ProtectionLevel.COMMGUARD,
@@ -347,8 +345,6 @@ def run(
     fault_model: FaultModelSpec | str | None = None,
     options: EngineOptions | None = None,
     profile: ProfileSession | None = None,
-    trace: "Tracer | str | Path | bool | None" = _UNSET,  # deprecated alias
-    scale: float = _UNSET,  # deprecated alias
 ) -> RunReport:
     """Run one benchmark once and return a :class:`RunReport`.
 
@@ -358,17 +354,18 @@ def run(
     the error process from the registry in :mod:`repro.machine.faults` —
     a name or ``name:param=val,...`` spec string (default ``bit_flip``,
     which is bit-identical to the pre-registry injector).  See the module
-    docstring for the accepted *app*, *protection* and *trace* spellings.
+    docstring for the accepted *app*, *protection* and trace spellings;
+    a prebuilt *app* is the one simulated and reported, whatever the
+    per-scale cache holds under its name.
 
     Engine knobs come through *options*, the same
     :class:`~repro.experiments.EngineOptions` every entry point shares:
     ``options.scale`` is the app-build input scale, ``options.trace``
     the trace destination (anything
     :func:`~repro.observability.coerce_tracer` understands), and
-    ``options.exec_mode`` the execution mode (``"fast"`` quiet-span
-    bulk path vs the bit-identical ``"precise"`` per-word oracle).  The
-    legacy ``scale=`` / ``trace=`` keyword arguments still work but emit
-    a :class:`DeprecationWarning`.
+    ``options.exec_mode`` the execution mode (``"fast"`` event loop,
+    batched transfers and quiet spans vs the bit-identical ``"precise"``
+    round-robin, per-word oracle).
 
     ``options.store`` points the run at a
     :class:`~repro.experiments.store.RunStore`: an untraced run whose
@@ -389,28 +386,7 @@ def run(
     spec, so storing/caching them stays sound.
     """
     opts = options or EngineOptions()
-    if scale is not _UNSET:
-        warnings.warn(
-            "repro.api.run(scale=...) is deprecated; "
-            "pass options=EngineOptions(scale=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    else:
-        scale = None
-    if trace is not _UNSET:
-        warnings.warn(
-            "repro.api.run(trace=...) is deprecated; "
-            "pass options=EngineOptions(trace=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    else:
-        trace = None
-    scale = scale if scale is not None else (
-        opts.scale if opts.scale is not None else 1.0
-    )
-    trace = trace if trace is not None else opts.trace
+    scale = opts.scale if opts.scale is not None else 1.0
     bench = resolve_app(app, scale=scale)
     level = (
         protection
@@ -426,7 +402,7 @@ def run(
         )
     rate = parse_mtbe(mtbe)
     fault = FaultModelSpec.coerce(fault_model)
-    tracer, owned = coerce_tracer(trace)
+    tracer, owned = coerce_tracer(opts.trace)
 
     spec = RunSpec(
         app=bench.name,
@@ -442,8 +418,6 @@ def run(
         trace=str(owned.path) if owned is not None and owned.path else None,
         exec_mode=opts.exec_mode,
     )
-    runner = _runner_for(scale)
-    runner.adopt_app(bench)
     store = RunStore.coerce(opts.store)
     # An error_model override is not part of RunSpec (and hence the
     # content key), so a store hit would return a baseline record that
@@ -452,25 +426,20 @@ def run(
     # Profiled runs skip the hit path too: a store hit has no timeline.
     if (
         store is not None
-        and trace is None
+        and opts.trace is None
         and error_model is None
         and profile is None
     ):
         cached = store.load(spec.content_key(scale))
         if cached is not None:
-            return RunReport(
-                spec=spec,
-                record=cached,
-                result=None,
-                app=runner.app(bench.name),
-            )
+            return RunReport(spec=spec, record=cached, result=None, app=bench)
     engine = profile.engine if profile is not None else None
     try:
         with engine_span(
             engine, "run", app=bench.name, protection=level.name, seed=seed
         ):
-            record, result = runner._execute(
-                bench.name,
+            record, result = run_app(
+                bench,
                 level,
                 mtbe=rate,
                 seed=seed,
@@ -493,7 +462,7 @@ def run(
         spec=spec,
         record=record,
         result=result,
-        app=runner.app(bench.name),
+        app=bench,
         trace_path=owned.path if isinstance(owned, JsonlTracer) else None,
         events=list(tracer.events) if isinstance(tracer, InMemoryTracer) else None,
         profile=profile,
@@ -815,17 +784,6 @@ def sweep(
     profile: ProfileSession | None = None,
     collect_results: bool = False,
     campaign: str | None = None,
-    # Deprecated loose-kwarg aliases over options=EngineOptions(...):
-    scale: float = _UNSET,
-    jobs: int = _UNSET,
-    cache: bool = _UNSET,
-    no_cache: bool = _UNSET,
-    trace_dir: str = _UNSET,
-    retries: int = _UNSET,
-    run_timeout: float = _UNSET,
-    retry_backoff: float = _UNSET,
-    keep_going: bool = _UNSET,
-    store: object = _UNSET,
 ) -> SweepReport:
     """Run one app over a ``protections x mtbes x seeds`` grid.
 
@@ -874,42 +832,8 @@ def sweep(
     a rerun, and :meth:`SweepReport.from_store` rebuilds the byte-exact
     report later.  The in-process path (``collect_results=True`` or a
     prebuilt app) ignores the store — raw results are not persistable.
-
-    The loose engine kwargs (``scale=``, ``jobs=``, ``cache=``,
-    ``no_cache=``, ``trace_dir=``, ``retries=``, ``run_timeout=``,
-    ``retry_backoff=``, ``keep_going=``, ``store=``) are deprecated
-    aliases: each emits a :class:`DeprecationWarning` and overrides the
-    matching :class:`~repro.experiments.EngineOptions` field
-    (``no_cache=True`` maps to ``cache=False``).
     """
     options = options or EngineOptions()
-    overrides: dict[str, object] = {}
-    aliases = {
-        "scale": scale,
-        "jobs": jobs,
-        "cache": cache,
-        "no_cache": no_cache,
-        "trace_dir": trace_dir,
-        "retries": retries,
-        "run_timeout": run_timeout,
-        "retry_backoff": retry_backoff,
-        "keep_going": keep_going,
-        "store": store,
-    }
-    for name, value in aliases.items():
-        if value is _UNSET:
-            continue
-        target = "cache" if name == "no_cache" else name
-        spelled = "cache=..." if name == "no_cache" else f"{name}=..."
-        warnings.warn(
-            f"repro.api.sweep({name}=...) is deprecated; "
-            f"pass options=EngineOptions({spelled})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        overrides[target] = (not value) if name == "no_cache" else value
-    if overrides:
-        options = replace(options, **overrides)
     scale = options.scale if options.scale is not None else 1.0
     bench = resolve_app(app, scale=scale)
     levels = _parse_protection_axis(protections)
@@ -1026,12 +950,10 @@ def _sweep_in_process(
     options: EngineOptions,
     collect_results: bool,
 ) -> list[SweepPoint]:
-    """Serial sweep through the shared per-scale runner (same app cache as
-    :func:`run`), keeping each raw result when asked.  ``trace_dir`` still
-    ships one JSONL trace per run, named by content key as the parallel
-    engine does."""
+    """Serial sweep of *bench* through the shared per-scale runner, keeping
+    each raw result when asked.  ``trace_dir`` still ships one JSONL trace
+    per run, named by content key as the parallel engine does."""
     runner = _runner_for(scale)
-    runner.adopt_app(bench)
     points: list[SweepPoint] = []
     for index, spec in enumerate(specs):
         traced = spec
@@ -1041,7 +963,7 @@ def _sweep_in_process(
                 spec, trace=str(Path(options.trace_dir) / f"{key}.jsonl")
             )
         try:
-            record, result = runner.run_spec(traced)
+            record, result = runner.run_spec(traced, app=bench)
         except KeyboardInterrupt:
             raise
         except Exception as exc:

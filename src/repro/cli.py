@@ -28,7 +28,7 @@ Commands:
   with the simulated-time timeline recorder and engine span profiler
   attached and exports a Chrome trace-event JSON for Perfetto /
   ``chrome://tracing`` (``--timeline-out`` additionally writes the
-  canonical timeline bytes, byte-identical across schedulers);
+  canonical timeline bytes, byte-identical across exec modes);
   ``profile trace`` renders an existing JSONL trace the same way.
 * ``top`` — store-backed campaign health: done/failed/pending,
   executed-vs-hit split, run wall seconds, throughput and an ETA for
@@ -651,35 +651,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
         return 0
 
-    from repro.core.config import CommGuardConfig
-    from repro.machine.system import SystemConfig, run_program
     from repro.observability.profile import ProfileSession
 
     protection = ProtectionLevel.parse(args.protection)
     session = ProfileSession()
-    bench = api.resolve_app(args.app, scale=args.scale)
-    # The direct machine path (not api.run): profiling wants explicit
-    # scheduler choice, which is a SystemConfig knob the engine
-    # deliberately keeps out of run specs and cache keys.
-    with session.engine.span(
-        "run",
-        app=args.app,
-        protection=protection.value,
+    result = api.run(
+        args.app,
+        protection,
+        mtbe=args.mtbe,
         seed=args.seed,
-        scheduler=args.scheduler,
-    ):
-        result = run_program(
-            bench.program,
-            protection,
-            mtbe=args.mtbe,
-            seed=args.seed,
-            commguard_config=CommGuardConfig(frame_scale=args.frame_scale),
-            system_config=SystemConfig(
-                exec_mode=args.exec_mode, scheduler=args.scheduler
-            ),
-            fault_model=args.fault_model,
-            profiler=session.sim,
-        )
+        frame_scale=args.frame_scale,
+        fault_model=args.fault_model,
+        options=EngineOptions(scale=args.scale, exec_mode=args.exec_mode),
+        profile=session,
+    ).result
     try:
         write_chrome_trace(
             args.out, profile_to_chrome(sim=session.sim, engine=session.engine)
@@ -691,7 +676,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     samples = sum(len(series) for series in session.sim.queues.values())
     print(
         f"profiled {args.app} ({protection.value}, seed {args.seed}, "
-        f"{args.scheduler} scheduler): {result.errors_injected} error(s) "
+        f"{args.exec_mode} mode): {result.errors_injected} error(s) "
         f"injected over {result.execution_time():,} cycles"
     )
     print(
@@ -935,8 +920,9 @@ def _add_exec_mode_option(parser: argparse.ArgumentParser) -> None:
         "--exec-mode",
         choices=["fast", "precise"],
         default="fast",
-        help="simulation execution mode: the quiet-span fast path "
-        "(default) or the bit-identical per-word precise oracle",
+        help="simulation execution mode: the fast path (event loop, batched "
+        "transfers, quiet spans; default) or the bit-identical precise "
+        "oracle (round-robin loop, per-word transfers)",
     )
 
 
@@ -1120,11 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_run.add_argument("--seed", type=int, default=0)
     profile_run.add_argument("--scale", type=float, default=1.0)
     profile_run.add_argument("--frame-scale", type=int, default=1)
-    profile_run.add_argument(
-        "--scheduler", choices=["event", "legacy"], default="event",
-        help="run loop to profile (the recorded timeline is byte-identical "
-        "either way — that invariance is CI-checked)",
-    )
     profile_run.add_argument(
         "--out", default="profile.json", metavar="FILE",
         help="Chrome trace-event JSON output (default: profile.json)",

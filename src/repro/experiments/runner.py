@@ -8,15 +8,12 @@ The runner executes frozen :class:`~repro.experiments.parallel.RunSpec`
 descriptions (:meth:`run_spec` / :meth:`execute_spec` / :meth:`run_specs`),
 the unit of work of the parallel sweep engine, which overrides
 :meth:`run_specs` to fan specs out over worker processes and an on-disk
-result cache.  The old ad-hoc argument path (:meth:`execute` /
-:meth:`record`) is a deprecated shim over :func:`repro.api.run`'s
-machinery; new code should call :func:`repro.api.run` directly.
+result cache.  One-off runs go through :func:`repro.api.run`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -55,6 +52,63 @@ class RunRecord:
     hung: bool
 
 
+def run_app(
+    app: BenchmarkApp,
+    protection: ProtectionLevel = ProtectionLevel.COMMGUARD,
+    mtbe: float | None = None,
+    seed: int = 0,
+    frame_scale: int = 1,
+    commguard_config: CommGuardConfig | None = None,
+    error_model: ErrorModel | None = None,
+    tracer=None,
+    fault_model: str | None = None,
+    exec_mode: str | None = None,
+    profiler=None,
+) -> tuple[RunRecord, RunResult]:
+    """Run *app* once; returns the flat record plus the raw result."""
+    config = commguard_config or CommGuardConfig(frame_scale=frame_scale)
+    system_config = (
+        None if exec_mode is None else SystemConfig(exec_mode=exec_mode)
+    )
+    result = run_program(
+        app.program,
+        protection,
+        mtbe=mtbe,
+        seed=seed,
+        commguard_config=config,
+        system_config=system_config,
+        error_model=error_model,
+        tracer=tracer,
+        fault_model=fault_model,
+        profiler=profiler,
+    )
+    quality = app.quality(result)
+    stats = result.commguard_stats()
+    load_ratio, store_ratio = result.header_memory_ratios()
+    record = RunRecord(
+        app=app.name,
+        protection=protection,
+        mtbe=None if protection is ProtectionLevel.ERROR_FREE else mtbe,
+        seed=seed,
+        frame_scale=config.frame_scale,
+        quality_db=quality,
+        data_loss_ratio=result.data_loss_ratio(),
+        pad_events=stats.pad_events,
+        discard_events=stats.discard_events,
+        padded_items=stats.pads,
+        discarded_items=stats.discarded_items,
+        errors_injected=result.errors_injected,
+        timeouts=stats.timeouts,
+        committed_instructions=result.committed_instructions,
+        execution_time=result.execution_time(),
+        header_load_ratio=load_ratio,
+        header_store_ratio=store_ratio,
+        subop_ratios=result.subop_ratios(),
+        hung=result.hung,
+    )
+    return record, result
+
+
 class SimulationRunner:
     """Runs benchmark apps under experiment configurations, caching apps."""
 
@@ -72,137 +126,18 @@ class SimulationRunner:
         this runner's, or worker processes would rebuild it differently)."""
         return self._apps.setdefault(app.name, app)
 
-    def execute(
-        self,
-        app_name: str,
-        protection: ProtectionLevel = ProtectionLevel.COMMGUARD,
-        mtbe: float | None = None,
-        seed: int = 0,
-        frame_scale: int = 1,
-        commguard_config: CommGuardConfig | None = None,
-        error_model: ErrorModel | None = None,
+    def run_spec(
+        self, spec, tracer=None, profiler=None, app: BenchmarkApp | None = None
     ) -> tuple[RunRecord, RunResult]:
-        """Deprecated: use :func:`repro.api.run` (or :meth:`run_spec`)."""
-        warnings.warn(
-            "SimulationRunner.execute() is deprecated and will be removed in "
-            "repro 2.0; use repro.api.run() or SimulationRunner.run_spec()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_via_api(
-            app_name,
-            protection,
-            mtbe=mtbe,
-            seed=seed,
-            frame_scale=frame_scale,
-            commguard_config=commguard_config,
-            error_model=error_model,
-        )
-
-    def _run_via_api(
-        self,
-        app_name: str,
-        protection: ProtectionLevel = ProtectionLevel.COMMGUARD,
-        mtbe: float | None = None,
-        seed: int = 0,
-        frame_scale: int = 1,
-        commguard_config: CommGuardConfig | None = None,
-        error_model: ErrorModel | None = None,
-    ) -> tuple[RunRecord, RunResult]:
-        """The shim body: translate the legacy argument spelling into one
-        :func:`repro.api.run` call (passing this runner's built app so the
-        api-level runner cache and ours agree on the instance)."""
-        from repro import api
-        from repro.experiments.options import EngineOptions
-
-        report = api.run(
-            self.app(app_name),
-            protection,
-            mtbe=mtbe,
-            seed=seed,
-            config=commguard_config,
-            frame_scale=frame_scale if commguard_config is None else 1,
-            options=EngineOptions(scale=self.scale),
-            error_model=error_model,
-        )
-        return report.record, report.result
-
-    def _execute(
-        self,
-        app_name: str,
-        protection: ProtectionLevel = ProtectionLevel.COMMGUARD,
-        mtbe: float | None = None,
-        seed: int = 0,
-        frame_scale: int = 1,
-        commguard_config: CommGuardConfig | None = None,
-        error_model: ErrorModel | None = None,
-        tracer=None,
-        fault_model: str | None = None,
-        exec_mode: str | None = None,
-        profiler=None,
-    ) -> tuple[RunRecord, RunResult]:
-        """Run once; returns the flat record plus the raw result."""
-        app = self.app(app_name)
-        config = commguard_config or CommGuardConfig(frame_scale=frame_scale)
-        system_config = (
-            None if exec_mode is None else SystemConfig(exec_mode=exec_mode)
-        )
-        result = run_program(
-            app.program,
-            protection,
-            mtbe=mtbe,
-            seed=seed,
-            commguard_config=config,
-            system_config=system_config,
-            error_model=error_model,
-            tracer=tracer,
-            fault_model=fault_model,
-            profiler=profiler,
-        )
-        quality = app.quality(result)
-        stats = result.commguard_stats()
-        load_ratio, store_ratio = result.header_memory_ratios()
-        record = RunRecord(
-            app=app_name,
-            protection=protection,
-            mtbe=None if protection is ProtectionLevel.ERROR_FREE else mtbe,
-            seed=seed,
-            frame_scale=config.frame_scale,
-            quality_db=quality,
-            data_loss_ratio=result.data_loss_ratio(),
-            pad_events=stats.pad_events,
-            discard_events=stats.discard_events,
-            padded_items=stats.pads,
-            discarded_items=stats.discarded_items,
-            errors_injected=result.errors_injected,
-            timeouts=stats.timeouts,
-            committed_instructions=result.committed_instructions,
-            execution_time=result.execution_time(),
-            header_load_ratio=load_ratio,
-            header_store_ratio=store_ratio,
-            subop_ratios=result.subop_ratios(),
-            hung=result.hung,
-        )
-        return record, result
-
-    def record(self, *args, **kwargs) -> RunRecord:
-        """Deprecated: use :func:`repro.api.run` (or :meth:`execute_spec`)."""
-        warnings.warn(
-            "SimulationRunner.record() is deprecated and will be removed in "
-            "repro 2.0; use repro.api.run() or SimulationRunner.execute_spec()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_via_api(*args, **kwargs)[0]
-
-    def run_spec(self, spec, tracer=None, profiler=None) -> tuple[RunRecord, RunResult]:
         """Run one frozen :class:`~repro.experiments.parallel.RunSpec`.
 
         When *tracer* is ``None`` and the spec carries a ``trace`` path, a
         :class:`~repro.observability.JsonlTracer` streaming there is opened
         for the run and closed afterwards.  ``profiler`` optionally records
         the run's simulated-time timeline
-        (:class:`~repro.observability.profile.SimProfiler`).
+        (:class:`~repro.observability.profile.SimProfiler`).  ``app``
+        simulates a prebuilt app instead of this runner's cached build of
+        ``spec.app``.
         """
         from repro.observability.tracer import coerce_tracer
 
@@ -210,8 +145,8 @@ class SimulationRunner:
         if tracer is None:
             tracer, owned = coerce_tracer(getattr(spec, "trace", None))
         try:
-            return self._execute(
-                spec.app,
+            return run_app(
+                app if app is not None else self.app(spec.app),
                 spec.protection,
                 mtbe=spec.mtbe,
                 seed=spec.seed,

@@ -1,7 +1,7 @@
-"""Run-loop schedulers: the legacy round-robin sweep and the event-driven
-ready-set scheduler that replaces it.
+"""Run loops: the legacy round-robin sweep (the ``exec_mode="precise"``
+oracle) and the event-driven ready-set scheduler (``exec_mode="fast"``).
 
-Both schedulers execute the same cooperative model — each
+Both loops execute the same cooperative model — each
 :class:`~repro.machine.thread.NodeThread` runs until it blocks on a queue
 operation — and both are required to produce **bit-identical** runs: the
 same :class:`~repro.machine.runstats.RunResult` (including the ``sweeps``
@@ -30,7 +30,7 @@ QM-timeout path is simply the case "ready set empty (or unproductive) but
 threads alive".
 
 Wake sources (installed on the queue backends as the ``wake_hub``
-attribute, ``None`` when the legacy scheduler runs):
+attribute, ``None`` when the legacy loop runs):
 
 * a raw-queue ``push`` or a guarded-queue working-set publish makes data
   visible — wake the consumer;
@@ -90,11 +90,9 @@ class WakeHub:
 
 
 class LegacyScheduler:
-    """The original round-robin sweep loop, kept verbatim as the reference
-    implementation for the equivalence suite (and for bisecting any future
+    """The original round-robin sweep loop, kept verbatim as the run loop
+    of the ``exec_mode="precise"`` oracle (and for bisecting any future
     divergence)."""
-
-    name = "legacy"
 
     def run(self, system, threads, result) -> None:
         config = system.config
@@ -144,9 +142,8 @@ class LegacyScheduler:
 
 
 class EventScheduler:
-    """Event-driven ready-set scheduler (see module docstring)."""
-
-    name = "event"
+    """Event-driven ready-set scheduler (see module docstring); the run
+    loop of ``exec_mode="fast"``."""
 
     def run(self, system, threads, result) -> None:
         config = system.config
@@ -225,18 +222,3 @@ class EventScheduler:
                             )
                 stuck_sweeps = 0
         result.sweeps = sweeps
-
-
-_SCHEDULERS = {
-    LegacyScheduler.name: LegacyScheduler,
-    EventScheduler.name: EventScheduler,
-}
-
-
-def resolve_scheduler(name: str):
-    """Instantiate the scheduler selected by ``SystemConfig.scheduler``."""
-    try:
-        return _SCHEDULERS[name]()
-    except KeyError:
-        known = ", ".join(sorted(_SCHEDULERS))
-        raise ValueError(f"unknown scheduler {name!r} (known: {known})") from None

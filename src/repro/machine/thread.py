@@ -214,7 +214,6 @@ class NodeThread:
         ppu: PPUModel,
         frame_stall_cycles: int = 0,
         tracer=None,
-        batch_ops: bool = True,
         exec_mode: str = "fast",
         profiler=None,
     ) -> None:
@@ -240,20 +239,19 @@ class NodeThread:
         self.profiler = profiler
         #: Per-thread simulated clock; only advanced under a profiler.
         self.sim_now = 0
-        #: Credit-based batched firing: queue words that cannot block move
-        #: in bulk (wall-clock only; results and trace bytes are invariant).
-        #: Part of the fast machinery — ``exec_mode="precise"`` is the pure
-        #: per-word oracle, so it forces the per-word transfer path too.
-        #: Declines under a profiler so per-operation occupancy samples
-        #: are preserved (the same discipline as tracing).
-        self.batch_ops = batch_ops and exec_mode == "fast" and profiler is None
+        # Credit-based batched firing: queue words that cannot block move in
+        # bulk (wall-clock only; results and trace bytes are invariant).
+        # Part of the fast machinery — ``exec_mode="precise"`` is the pure
+        # per-word oracle.  Declines under a profiler so per-operation
+        # occupancy samples are preserved.
+        self._batch = exec_mode == "fast" and profiler is None
         self.exec_mode = exec_mode
         #: Precompiled steady-state firing shape (see repro.machine.plan).
         self.plan: FiringPlan = compile_plan(node)
         # Quiet-span fast path: whole firings outside the error horizon run
         # in bulk.  Disabled under a tracer so the per-word path reproduces
         # event bytes exactly, and under a profiler so every firing is
-        # individually classified (the same discipline as batch_ops).
+        # individually classified (the same discipline as batching).
         self._fast = exec_mode == "fast" and tracer is None and profiler is None
         self.counters = ThreadCounters()
         if isinstance(comm, GuardedCommPath):
@@ -416,7 +414,7 @@ class NodeThread:
         rng = self.injector.rng
 
         # 1. Pop inputs (with control-error count perturbations).
-        batch = self.batch_ops
+        batch = self._batch
         inputs: list[list[int]] = []
         for port, rate in enumerate(node.input_rates):
             delta = plan.pop_deltas.get(port, 0)

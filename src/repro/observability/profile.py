@@ -14,8 +14,8 @@ Two recorders with very different contracts live here:
   happen in the same order under every scheduler and worker count, the
   recorded timeline — and its canonical byte serialization,
   :meth:`SimProfiler.to_json_bytes` — is **deterministic**: byte-identical
-  across ``--jobs``, across the legacy and event schedulers, and across
-  repeat runs of the same seeded spec.
+  across ``--jobs``, across exec modes (the precise round-robin loop and
+  the fast event loop), and across repeat runs of the same seeded spec.
 
   Like tracing, profiling is strictly opt-in: every emission site is
   guarded by ``if profiler is not None``, and the quiet-span /
@@ -204,7 +204,7 @@ class SimProfiler:
     def to_json_bytes(self) -> bytes:
         """Canonical serialization: sorted keys, compact separators,
         trailing newline.  Byte-identical across ``--jobs`` and
-        schedulers for the same seeded spec — CI ``cmp``'s this."""
+        exec modes for the same seeded spec — CI ``cmp``'s this."""
         import json
 
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

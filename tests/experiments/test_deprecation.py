@@ -1,11 +1,16 @@
-"""The legacy SimulationRunner entry points warn; the new ones do not."""
+"""The 1.x spellings removed in 2.0 fail loudly; their replacements run
+without warnings."""
 
+import importlib
 import warnings
 
 import pytest
 
+from repro import api
+from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import SimulationRunner
+from repro.machine.system import SystemConfig
 
 SCALE = 0.05
 
@@ -16,26 +21,61 @@ def runner():
 
 
 class TestShims:
-    def test_execute_warns_and_still_works(self, runner):
-        with pytest.warns(DeprecationWarning, match="SimulationRunner.execute"):
-            record, result = runner.execute("fft", mtbe=100_000, seed=0)
-        assert record.app == "fft"
-        assert result.committed_instructions > 0
+    @pytest.mark.parametrize("name", ["execute", "record", "_run_via_api"])
+    def test_runner_shim_is_gone(self, runner, name):
+        with pytest.raises(AttributeError):
+            getattr(runner, name)
 
-    def test_record_warns_and_still_works(self, runner):
-        with pytest.warns(DeprecationWarning, match="SimulationRunner"):
-            record = runner.record("fft", mtbe=100_000, seed=0)
-        assert record.app == "fft"
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            ("repro.api", "_UNSET"),
+            ("repro.machine.scheduler", "resolve_scheduler"),
+            ("repro.machine.scheduler", "_SCHEDULERS"),
+        ],
+    )
+    def test_module_shim_is_gone(self, module, name):
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(module), name)
 
-    def test_shims_match_spec_path(self, runner):
-        with pytest.warns(DeprecationWarning):
-            legacy = runner.record("fft", mtbe=100_000, seed=0)
-        fresh = runner.execute_spec(RunSpec(app="fft", mtbe=100_000, seed=0))
-        assert legacy == fresh
+    @pytest.mark.parametrize("name", ["scheduler", "batch_ops"])
+    def test_system_config_rejects_loop_knobs(self, name):
+        with pytest.raises(TypeError, match=name):
+            SystemConfig(**{name: None})
 
-    def test_warning_points_at_replacement(self, runner):
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            runner.record("fft", mtbe=100_000, seed=0)
+
+class TestApiRunAliases:
+    @pytest.mark.parametrize("name,value", [("scale", SCALE), ("trace", True)])
+    def test_loose_engine_kwarg_is_rejected(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            api.run("fft", "commguard", mtbe=100_000, seed=0, **{name: value})
+
+
+class TestApiSweepAliases:
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("scale", SCALE),
+            ("jobs", 1),
+            ("cache", False),
+            ("no_cache", True),
+            ("trace_dir", "traces"),
+            ("retries", 1),
+            ("run_timeout", 10.0),
+            ("retry_backoff", 0.1),
+            ("keep_going", True),
+            ("store", True),
+        ],
+    )
+    def test_loose_engine_kwarg_is_rejected(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            api.sweep("fft", mtbes=100_000, seeds=1, **{name: value})
+
+    def test_options_spelling_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            api.sweep("fft", mtbes=100_000, seeds=1,
+                      options=EngineOptions(scale=SCALE, cache=None, jobs=1))
 
 
 class TestNewEntryPoints:
@@ -47,84 +87,13 @@ class TestNewEntryPoints:
             runner.execute_spec(spec)
 
     def test_api_run_does_not_warn(self):
-        from repro.api import EngineOptions, run
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run("fft", "commguard", mtbe=100_000, seed=0,
-                options=EngineOptions(scale=SCALE))
-
-
-class TestApiRunAliases:
-    """The legacy run(scale=/trace=) kwargs warn, still work, and match
-    the options= spelling bit for bit."""
-
-    def test_scale_alias_warns_and_matches_options(self):
-        from repro.api import EngineOptions, run
-
-        with pytest.warns(DeprecationWarning, match=r"repro\.api\.run\(scale"):
-            legacy = run("fft", "commguard", mtbe=100_000, seed=0, scale=SCALE)
-        fresh = run("fft", "commguard", mtbe=100_000, seed=0,
+            api.run("fft", "commguard", mtbe=100_000, seed=0,
                     options=EngineOptions(scale=SCALE))
-        assert legacy.record == fresh.record
 
-    def test_trace_alias_warns_and_matches_options(self, tmp_path):
-        from repro.api import EngineOptions, run
-
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        with pytest.warns(DeprecationWarning, match=r"repro\.api\.run\(trace"):
-            run("fft", "commguard", mtbe=100_000, seed=0,
-                options=EngineOptions(scale=SCALE), trace=str(a))
-        run("fft", "commguard", mtbe=100_000, seed=0,
-            options=EngineOptions(scale=SCALE, trace=str(b)))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_alias_warning_points_at_replacement(self):
-        from repro.api import run
-
-        with pytest.warns(DeprecationWarning, match="EngineOptions"):
-            run("fft", "commguard", mtbe=100_000, seed=0, scale=SCALE)
-
-
-class TestApiSweepAliases:
-    """The legacy sweep(jobs=/no_cache=/...) engine kwargs warn, still
-    work, and match the options= spelling bit for bit."""
-
-    def test_jobs_alias_warns_and_matches_options(self):
-        from repro.api import EngineOptions, sweep
-
-        with pytest.warns(DeprecationWarning, match=r"repro\.api\.sweep\(jobs"):
-            legacy = sweep("fft", mtbes=100_000, seeds=2,
-                           options=EngineOptions(scale=SCALE, cache=None),
-                           jobs=1)
-        fresh = sweep("fft", mtbes=100_000, seeds=2,
-                      options=EngineOptions(scale=SCALE, cache=None, jobs=1))
-        assert legacy.records == fresh.records
-
-    def test_no_cache_alias_maps_to_cache_false(self):
-        from repro.api import sweep
-
-        with pytest.warns(
-            DeprecationWarning, match=r"repro\.api\.sweep"
-        ) as caught:
-            sweep("fft", mtbes=100_000, seeds=1, scale=SCALE, no_cache=True,
-                  jobs=1)
-        messages = [str(w.message) for w in caught]
-        assert any("EngineOptions(cache=...)" in m for m in messages)
-
-    def test_alias_warning_points_at_replacement(self):
-        from repro.api import sweep
-
-        with pytest.warns(DeprecationWarning, match="EngineOptions"):
-            sweep("fft", mtbes=100_000, seeds=1, scale=SCALE, jobs=1,
-                  cache=False)
-
-    def test_options_spelling_does_not_warn(self):
-        import warnings
-
-        from repro.api import EngineOptions, sweep
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sweep("fft", mtbes=100_000, seeds=1,
-                  options=EngineOptions(scale=SCALE, cache=None, jobs=1))
+    def test_run_matches_spec_path(self, runner):
+        fresh = runner.execute_spec(RunSpec(app="fft", mtbe=100_000, seed=0))
+        report = api.run("fft", "commguard", mtbe=100_000, seed=0,
+                         options=EngineOptions(scale=SCALE))
+        assert report.record == fresh

@@ -1,6 +1,6 @@
 """Bulk queue operations must be observably identical to per-word loops.
 
-These are the fast paths behind ``SystemConfig.batch_ops``; each test runs
+These are the batched transfers of ``exec_mode="fast"``; each test runs
 the same word sequence through the per-word reference API and the bulk API
 and compares every observable: returned words, queue state, stats charges,
 peaks, and the tracer fallback contract.

@@ -1,13 +1,19 @@
-"""Exec-mode equivalence suite: the quiet-span fast path must be
-bit-identical to the per-word precise oracle — same ``RunResult``, same
-cache keys, byte-identical trace bytes — across the app × protection ×
-MTBE × seed grid and across every registered fault model.
+"""Exec-mode equivalence suite: the fast path must be bit-identical to the
+precise oracle — same ``RunResult``, same cache keys, byte-identical trace
+bytes — across the app × protection × MTBE × seed grid and across every
+registered fault model.
 
 This is the determinism contract that makes ``exec_mode`` a pure
-performance knob: ``SystemConfig(exec_mode="fast")`` (the default) may
-execute whole steady-state firings in bulk inside error-quiet spans, but
-every observable of the run must match ``exec_mode="precise"``, which
-executes word by word unconditionally.
+performance knob.  ``SystemConfig(exec_mode="fast")`` (the default) runs
+the event-driven ready-set scheduler, moves the queue words of a firing
+that cannot block in bulk, and executes whole steady-state firings in bulk
+inside error-quiet spans.  ``exec_mode="precise"`` is the single reference:
+the legacy round-robin loop, word by word, unconditionally.  Every
+observable of a fast run must match it.
+
+``tests/machine/test_scheduler_equivalence.py`` holds the transfer path
+fixed and swaps only the run loop, and covers the wake-ordering shim and
+the ForcedUnblock sequence.
 """
 
 import dataclasses
@@ -22,14 +28,18 @@ from repro.experiments.cache import spec_key
 from repro.experiments.parallel import RunSpec
 from repro.machine.errors import ErrorInjector, ErrorModel
 from repro.machine.protection import ProtectionLevel
+from repro.machine.scheduler import EventScheduler, LegacyScheduler
 from repro.machine.system import SystemConfig, run_program
 from repro.observability import JsonlTracer
 
 PRECISE = SystemConfig(exec_mode="precise")
 FAST = SystemConfig()  # exec_mode="fast" is the default
-#: The fast path must also agree under the legacy scheduler.
-FAST_LEGACY = SystemConfig(scheduler="legacy")
-VARIANTS = (FAST, FAST_LEGACY)
+
+#: The media apps and fft run the grid at quarter scale; the three DSP
+#: apps cross a frame boundary on nearly every firing, so a tenth of their
+#: input already exercises every CommGuard path.
+DSP_APPS = ("complex-fir", "channelvocoder", "audiobeamformer")
+GRID_SCALE = {"jpeg": 0.25, "mp3": 0.25, "fft": 0.25} | dict.fromkeys(DSP_APPS, 0.1)
 
 
 def result_snapshot(result):
@@ -58,15 +68,16 @@ def run_snapshot(config, app_name, protection, mtbe, seed, scale=0.25, **kw):
 
 
 def grid_points():
-    """Every protection level, a dense-error and a quiet-span-heavy MTBE,
-    two seeds, over apps covering the guarded and raw queue paths."""
+    """Every protection level at a dense-error, a stuck-sweep-prone and a
+    quiet-span-heavy MTBE, two seeds, over all six apps (guarded and raw
+    queue paths)."""
     points = []
-    for app_name in ("jpeg", "mp3", "fft"):
+    for app_name in GRID_SCALE:
         for protection in ProtectionLevel:
             mtbes = (
                 (None,)
                 if protection is ProtectionLevel.ERROR_FREE
-                else (10_000.0, 1_024_000.0)
+                else (10_000.0, 64_000.0, 1_024_000.0)
             )
             for mtbe in mtbes:
                 for seed in (0, 1):
@@ -81,16 +92,17 @@ class TestBitIdenticalResults:
         ids=lambda value: getattr(value, "name", str(value)),
     )
     def test_grid_point(self, app_name, protection, mtbe, seed):
-        reference = run_snapshot(PRECISE, app_name, protection, mtbe, seed)
-        for config in VARIANTS:
-            assert (
-                run_snapshot(config, app_name, protection, mtbe, seed) == reference
-            ), f"exec_mode={config.exec_mode} scheduler={config.scheduler}"
+        scale = GRID_SCALE[app_name]
+        assert run_snapshot(
+            FAST, app_name, protection, mtbe, seed, scale=scale
+        ) == run_snapshot(PRECISE, app_name, protection, mtbe, seed, scale=scale)
 
     def test_timeout_heavy_run_matches(self):
-        # mp3 under PPU_ONLY at 64k is the stuck-sweep regime: the fast
-        # path must bail out to per-word mode around every misalignment
-        # and still reproduce the forced-unblock bookkeeping exactly.
+        # mp3 under PPU_ONLY at 64k is the stuck-sweep regime: long
+        # stretches of unproductive sweeps, spins and hundreds of forced
+        # unblocks.  The fast path must bail out to per-word mode around
+        # every misalignment and the event loop must reproduce the
+        # round-robin forced-unblock bookkeeping exactly.
         reference = run_snapshot(
             PRECISE, "mp3", ProtectionLevel.PPU_ONLY, 64_000.0, 0
         )
@@ -105,11 +117,10 @@ class TestFaultModels:
     """Every registered error process — including sticky, whose stuck
     registers re-corrupt values between arrivals — must agree."""
 
-    @pytest.mark.parametrize(
-        "fault_model",
-        ["bit_flip", "burst", "control_flow", "queue_state",
-         "sticky", "sticky:dwell=200000"],
-    )
+    MODELS = ["bit_flip", "burst", "control_flow", "queue_state",
+              "sticky", "sticky:dwell=200000"]
+
+    @pytest.mark.parametrize("fault_model", MODELS)
     @pytest.mark.parametrize("mtbe", [50_000.0, 1_024_000.0])
     def test_model_matches_precise(self, fault_model, mtbe):
         kw = dict(fault_model=fault_model)
@@ -123,18 +134,43 @@ class TestFaultModels:
             == reference
         )
 
+    @pytest.mark.parametrize("fault_model", MODELS)
+    @pytest.mark.parametrize("app_name", DSP_APPS)
+    def test_dsp_model_matches_precise(self, app_name, fault_model):
+        kw = dict(fault_model=fault_model, scale=0.05)
+        reference = run_snapshot(
+            PRECISE, app_name, ProtectionLevel.COMMGUARD, 50_000.0, 1, **kw
+        )
+        assert (
+            run_snapshot(FAST, app_name, ProtectionLevel.COMMGUARD, 50_000.0, 1, **kw)
+            == reference
+        )
+
+
+def trace_points():
+    """Every protection level at a dense and a sparse MTBE (error-free once)."""
+    return [
+        (protection, mtbe)
+        for protection in ProtectionLevel
+        for mtbe in (
+            (None,)
+            if protection is ProtectionLevel.ERROR_FREE
+            else (10_000.0, 100_000.0)
+        )
+    ]
+
 
 class TestByteIdenticalTraces:
-    @pytest.mark.parametrize("app_name", ["jpeg", "mp3"])
+    @pytest.mark.parametrize("app_name", ["jpeg", "mp3", "channelvocoder"])
     @pytest.mark.parametrize(
-        "protection", list(ProtectionLevel), ids=lambda level: level.name
+        "protection,mtbe",
+        trace_points(),
+        ids=lambda value: getattr(value, "name", str(value)),
     )
-    def test_trace_bytes_exec_mode_invariant(self, app_name, protection):
-        mtbe = None if protection is ProtectionLevel.ERROR_FREE else 100_000.0
-
+    def test_trace_bytes_exec_mode_invariant(self, app_name, protection, mtbe):
         def trace_bytes(config):
             buffer = io.StringIO()
-            app = build_app(app_name, scale=0.25)
+            app = build_app(app_name, scale=GRID_SCALE[app_name])
             run_program(
                 app.program,
                 protection,
@@ -148,6 +184,25 @@ class TestByteIdenticalTraces:
         assert trace_bytes(FAST) == trace_bytes(PRECISE)
 
 
+class TestExecModeProperty:
+    """Arbitrary rate/seed/protection combinations agree — the fast path
+    must drop to precise mode around every injected error, wherever the
+    arrival lands inside a firing."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        mtbe=st.sampled_from([8_000.0, 64_000.0, 256_000.0, 2_048_000.0]),
+        seed=st.integers(min_value=0, max_value=50),
+        protection=st.sampled_from(
+            [ProtectionLevel.COMMGUARD, ProtectionLevel.PPU_RELIABLE_QUEUE]
+        ),
+    )
+    def test_fast_equals_precise(self, mtbe, seed, protection):
+        assert run_snapshot(
+            FAST, "mp3", protection, mtbe, seed, scale=0.2
+        ) == run_snapshot(PRECISE, "mp3", protection, mtbe, seed, scale=0.2)
+
+
 class TestSharedCacheKeys:
     """fast and precise runs are interchangeable, so they share one cache
     entry — and specs predating the ``exec_mode`` field keep their keys."""
@@ -158,6 +213,34 @@ class TestSharedCacheKeys:
         default = RunSpec(app="fft", mtbe=100_000.0, seed=3)
         keys = {spec_key(s, 0.1) for s in (fast, precise, default)}
         assert len(keys) == 1
+
+
+class TestRunLoopSelection:
+    """``exec_mode`` is the only loop knob: it picks the run loop."""
+
+    @pytest.mark.parametrize(
+        "config,loop",
+        [(PRECISE, LegacyScheduler), (FAST, EventScheduler)],
+        ids=["precise", "default-fast"],
+    )
+    def test_exec_mode_selects_the_run_loop(self, monkeypatch, config, loop):
+        used = []
+        for cls in (LegacyScheduler, EventScheduler):
+            original = cls.run
+
+            def recording_run(self, *args, _original=original):
+                used.append(type(self))
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, "run", recording_run)
+        app = build_app("fft", scale=0.1)
+        run_program(
+            app.program,
+            ProtectionLevel.COMMGUARD,
+            mtbe=100_000.0,
+            system_config=config,
+        )
+        assert used == [loop]
 
 
 class TestQuietSpanContract:
@@ -199,22 +282,3 @@ class TestQuietSpanContract:
                 ProtectionLevel.COMMGUARD,
                 system_config=SystemConfig(exec_mode="turbo"),
             )
-
-
-class TestExecModeProperty:
-    """Arbitrary rate/seed/protection combinations agree — the fast path
-    must drop to precise mode around every injected error, wherever the
-    arrival lands inside a firing."""
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        mtbe=st.sampled_from([8_000.0, 64_000.0, 256_000.0, 2_048_000.0]),
-        seed=st.integers(min_value=0, max_value=50),
-        protection=st.sampled_from(
-            [ProtectionLevel.COMMGUARD, ProtectionLevel.PPU_RELIABLE_QUEUE]
-        ),
-    )
-    def test_fast_equals_precise(self, mtbe, seed, protection):
-        assert run_snapshot(
-            FAST, "mp3", protection, mtbe, seed, scale=0.2
-        ) == run_snapshot(PRECISE, "mp3", protection, mtbe, seed, scale=0.2)

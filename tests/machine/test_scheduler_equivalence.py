@@ -1,7 +1,12 @@
-"""Scheduler-equivalence suite: the event-driven ready-set scheduler (and
-the batched-firing fast path) must be bit-identical to the legacy
-round-robin loop — same ``RunResult``, same trace bytes — across the
-app × protection × MTBE × seed grid.
+"""Run-loop equivalence suite: the event-driven ready-set scheduler and the
+legacy round-robin loop must be interchangeable — same ``RunResult``, same
+trace bytes — whichever transfer path the exec mode selects.
+
+``exec_mode`` picks both the run loop and the transfer path, and
+``tests/machine/test_exec_mode_equivalence.py`` checks the two modes as
+wholes.  This suite holds the transfer path fixed and swaps only the loop,
+so a divergence is pinned on the scheduler rather than on batched
+transfers or quiet spans.
 
 Also covers the wake-ordering compatibility shim directly (``WakeHub``
 position routing) and a Hypothesis property test for the ForcedUnblock
@@ -9,7 +14,6 @@ path, whose sweep numbering and thread ordering is the subtlest part of
 the virtual-sweep accounting.
 """
 
-import dataclasses
 import io
 
 import pytest
@@ -17,47 +21,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import build_app
+from repro.machine import system as system_module
 from repro.machine.protection import ProtectionLevel
-from repro.machine.scheduler import (
-    EventScheduler,
-    LegacyScheduler,
-    WakeHub,
-    resolve_scheduler,
-)
+from repro.machine.scheduler import EventScheduler, LegacyScheduler, WakeHub
 from repro.machine.system import SystemConfig, run_program
 from repro.observability import InMemoryTracer, JsonlTracer
 from repro.observability.events import ForcedUnblock
+from tests.machine.test_exec_mode_equivalence import result_snapshot
 
-LEGACY = SystemConfig(scheduler="legacy", batch_ops=False)
-LEGACY_BATCH = SystemConfig(scheduler="legacy", batch_ops=True)
-EVENT_NOBATCH = SystemConfig(scheduler="event", batch_ops=False)
-EVENT = SystemConfig(scheduler="event", batch_ops=True)
-VARIANTS = (LEGACY_BATCH, EVENT_NOBATCH, EVENT)
+PRECISE = SystemConfig(exec_mode="precise")
+FAST = SystemConfig()  # exec_mode="fast" is the default
 
-
-def result_snapshot(result):
-    """Every observable field of a RunResult, in comparable form."""
-    return (
-        result.outputs,
-        {
-            name: dataclasses.asdict(counters)
-            for name, counters in result.thread_counters.items()
-        },
-        result.errors_by_kind,
-        result.errors_injected,
-        result.sweeps,
-        result.hung,
-        result.forced_unblocks,
-        result.queue_peaks,
-    )
+#: The reference: the precise oracle on its own (legacy) loop.  Each
+#: variant runs one exec mode's transfers on the other mode's loop.
+REFERENCE = (PRECISE, LegacyScheduler)
+VARIANTS = ((PRECISE, EventScheduler), (FAST, LegacyScheduler))
 
 
-def run_snapshot(config, app_name, protection, mtbe, seed, scale=0.25):
+def run_on_loop(loop, config, app_name, protection, mtbe, seed, scale=0.25, **kw):
+    """``run_program`` with ``loop`` as the run loop, whatever loop
+    ``config.exec_mode`` would pick."""
+    ran = []
+
+    class Loop(loop):
+        def run(self, *args):
+            ran.append(loop)
+            return super().run(*args)
+
     app = build_app(app_name, scale=scale)
-    result = run_program(
-        app.program, protection, mtbe=mtbe, seed=seed, system_config=config
-    )
-    return result_snapshot(result)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(system_module, "LegacyScheduler", Loop)
+        patch.setattr(system_module, "EventScheduler", Loop)
+        result = run_program(
+            app.program, protection, mtbe=mtbe, seed=seed, system_config=config, **kw
+        )
+    assert ran == [loop], "the swapped-in run loop did not run"
+    return result
+
+
+def run_snapshot(variant, app_name, protection, mtbe, seed):
+    config, loop = variant
+    return result_snapshot(run_on_loop(loop, config, app_name, protection, mtbe, seed))
+
+
+def describe(variant):
+    config, loop = variant
+    return f"exec_mode={config.exec_mode} on {loop.__name__}"
 
 
 def grid_points():
@@ -84,23 +93,21 @@ class TestBitIdenticalResults:
         ids=lambda value: getattr(value, "name", str(value)),
     )
     def test_grid_point(self, app_name, protection, mtbe, seed):
-        reference = run_snapshot(LEGACY, app_name, protection, mtbe, seed)
-        for config in VARIANTS:
+        reference = run_snapshot(REFERENCE, app_name, protection, mtbe, seed)
+        for variant in VARIANTS:
             assert (
-                run_snapshot(config, app_name, protection, mtbe, seed) == reference
-            ), f"scheduler={config.scheduler} batch_ops={config.batch_ops}"
+                run_snapshot(variant, app_name, protection, mtbe, seed) == reference
+            ), describe(variant)
 
     def test_timeout_heavy_run_matches(self):
         # mp3 under PPU_ONLY at high MTBE is the stuck-sweep regime: long
         # stretches of unproductive sweeps, spins and hundreds of forced
         # unblocks — the exact path the ready-set re-expression changes.
-        reference = run_snapshot(LEGACY, "mp3", ProtectionLevel.PPU_ONLY, 64_000.0, 0)
+        args = ("mp3", ProtectionLevel.PPU_ONLY, 64_000.0, 0)
+        reference = run_snapshot(REFERENCE, *args)
         assert reference[6] > 0, "expected forced unblocks in this regime"
-        for config in VARIANTS:
-            assert (
-                run_snapshot(config, "mp3", ProtectionLevel.PPU_ONLY, 64_000.0, 0)
-                == reference
-            )
+        for variant in VARIANTS:
+            assert run_snapshot(variant, *args) == reference, describe(variant)
 
 
 class TestByteIdenticalTraces:
@@ -111,28 +118,29 @@ class TestByteIdenticalTraces:
     def test_trace_bytes_scheduler_invariant(self, app_name, protection):
         mtbe = None if protection is ProtectionLevel.ERROR_FREE else 10_000.0
 
-        def trace_bytes(config):
+        def trace_bytes(variant):
+            config, loop = variant
             buffer = io.StringIO()
-            app = build_app(app_name, scale=0.25)
-            run_program(
-                app.program,
+            run_on_loop(
+                loop,
+                config,
+                app_name,
                 protection,
-                mtbe=mtbe,
-                seed=1,
-                system_config=config,
+                mtbe,
+                1,
                 tracer=JsonlTracer(buffer),
             )
             return buffer.getvalue()
 
-        reference = trace_bytes(LEGACY)
-        for config in VARIANTS:
-            assert trace_bytes(config) == reference
+        reference = trace_bytes(REFERENCE)
+        for variant in VARIANTS:
+            assert trace_bytes(variant) == reference, describe(variant)
 
 
 class TestWakeOrderingProperty:
-    """ForcedUnblock events carry (thread, sweep); the event scheduler must
-    reproduce the legacy sequence exactly — same threads, same order, same
-    sweep numbers — for arbitrary error-rate/seed combinations."""
+    """ForcedUnblock events carry (thread, sweep); the event loop must
+    reproduce the round-robin sequence exactly — same threads, same order,
+    same sweep numbers — for arbitrary error-rate/seed combinations."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -161,7 +169,7 @@ class TestWakeOrderingProperty:
             ]
             return events, result.sweeps, result.forced_unblocks
 
-        assert forced_unblocks(EVENT) == forced_unblocks(LEGACY)
+        assert forced_unblocks(FAST) == forced_unblocks(PRECISE)
 
 
 class TestWakeHub:
@@ -201,17 +209,3 @@ class TestWakeHub:
         hub.on_pop(99)
         hub.on_corrupt(99)
         assert hub.ready_next == [False, False]
-
-
-class TestResolveScheduler:
-    def test_resolves_both_names(self):
-        assert isinstance(resolve_scheduler("legacy"), LegacyScheduler)
-        assert isinstance(resolve_scheduler("event"), EventScheduler)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            resolve_scheduler("round-robin")
-
-    def test_event_is_the_default(self):
-        assert SystemConfig().scheduler == "event"
-        assert SystemConfig().batch_ops is True

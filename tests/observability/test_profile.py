@@ -5,7 +5,7 @@ buffers, canonical serialization) and :class:`EngineProfiler` (span
 nesting, retro-recorded leaves), plus the two machine-level contracts:
 a profiled run's measurements are bit-identical to an unprofiled run,
 and the recorded simulated-time timeline is byte-identical across
-schedulers and execution modes.
+run loops and execution modes.
 """
 
 import json
@@ -13,7 +13,9 @@ import json
 import pytest
 
 from repro.apps.registry import build_app
+from repro.machine import system as system_module
 from repro.machine.protection import ProtectionLevel
+from repro.machine.scheduler import EventScheduler, LegacyScheduler
 from repro.machine.system import SystemConfig, run_program
 from repro.observability.profile import (
     EngineProfiler,
@@ -189,13 +191,13 @@ def fft_app():
     return build_app("fft", scale=APP_SCALE)
 
 
-def profiled_run(app, scheduler="event", exec_mode="fast", profiler=None):
+def profiled_run(app, exec_mode="fast", profiler=None):
     return run_program(
         app.program,
         ProtectionLevel.COMMGUARD,
         mtbe=MTBE,
         seed=SEED,
-        system_config=SystemConfig(exec_mode=exec_mode, scheduler=scheduler),
+        system_config=SystemConfig(exec_mode=exec_mode),
         profiler=profiler,
     )
 
@@ -212,11 +214,13 @@ class TestDeterminism:
         assert profiled.sweeps == plain.sweeps
         assert sim.threads and any(sim.threads.values())
 
-    def test_timeline_bytes_scheduler_invariant(self, fft_app):
+    def test_timeline_bytes_scheduler_invariant(self, fft_app, monkeypatch):
+        # Same exec mode, the other run loop in place of the event loop.
         timelines = []
-        for scheduler in ("event", "legacy"):
+        for loop in (EventScheduler, LegacyScheduler):
+            monkeypatch.setattr(system_module, "EventScheduler", loop)
             sim = SimProfiler()
-            profiled_run(fft_app, scheduler=scheduler, profiler=sim)
+            profiled_run(fft_app, profiler=sim)
             timelines.append(sim.to_json_bytes())
         assert timelines[0] == timelines[1]
 

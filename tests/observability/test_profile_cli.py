@@ -25,16 +25,18 @@ class TestProfileRunCommand:
         doc = json.loads(out.read_text())
         assert doc["traceEvents"]
         assert {e["ph"] for e in doc["traceEvents"]} <= {"X", "C", "i", "M"}
-        assert "profile written to" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "profile written to" in printed
+        assert "fast mode" in printed
 
-    def test_timeline_bytes_scheduler_invariant(self, tmp_path):
+    def test_timeline_bytes_exec_mode_invariant(self, tmp_path):
         timelines = []
-        for scheduler in ("event", "legacy"):
-            timeline = tmp_path / f"{scheduler}.json"
+        for exec_mode in ("fast", "precise"):
+            timeline = tmp_path / f"{exec_mode}.json"
             assert main([
                 "profile", "run", "fft", *ARGS,
-                "--scheduler", scheduler,
-                "--out", str(tmp_path / f"{scheduler}-profile.json"),
+                "--exec-mode", exec_mode,
+                "--out", str(tmp_path / f"{exec_mode}-profile.json"),
                 "--timeline-out", str(timeline),
             ]) == 0
             timelines.append(timeline.read_bytes())

@@ -6,6 +6,7 @@ import repro
 from repro import EngineOptions, ProtectionLevel, SweepReport, sweep
 from repro.api import RunSpec, run
 from repro.apps import build_app
+from repro.experiments.runner import SimulationRunner
 
 SCALE = 0.05
 FAST = EngineOptions(scale=SCALE, jobs=1, cache=False)
@@ -125,6 +126,39 @@ class TestInProcessPath:
         assert traces[0].stem == RunSpec(
             app="fft", mtbe=50_000.0, seed=0
         ).content_key(SCALE)
+
+
+class TestPrebuiltAppIsSimulated:
+    """A prebuilt app is the one simulated and reported, even when the
+    per-scale cache already holds a different build under its name."""
+
+    OPTIONS = EngineOptions(scale=0.1)
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        run("fft", mtbe="50k", options=self.OPTIONS)  # caches the 0.1 build
+        return build_app("fft", scale=SCALE)
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return SimulationRunner(scale=SCALE).execute_spec(
+            RunSpec(app="fft", mtbe=50_000.0)
+        )
+
+    def test_run(self, small, expected):
+        report = run(small, mtbe="50k", options=self.OPTIONS)
+        assert report.app is small
+        assert report.record == expected
+
+    def test_sweep(self, small, expected):
+        report = sweep(small, mtbes="50k", options=self.OPTIONS)
+        assert report.app is small
+        (point,) = report.points
+        assert point.record == expected
+
+    def test_cached_build_differs(self, expected):
+        cached = run("fft", mtbe="50k", options=self.OPTIONS).record
+        assert cached.committed_instructions != expected.committed_instructions
 
 
 class TestPublicSurface:
