@@ -5,11 +5,11 @@ Times identical runs under the two execution modes — the precise oracle
 (``SystemConfig(exec_mode="precise")``: legacy round-robin loop, per-word
 transfers) and the fast path (the default: event-driven ready set,
 batched transfers, quiet spans) — and writes one machine-readable report
-at the repo root.  The matrix is jpeg, mp3 and the fft DSP kernel at two
-MTBEs under all four protection levels, plus the reduced Figure 10
-quality campaign (the sweep the speedup target is defined on) and its
-high-MTBE rungs alone, the sparse-error regime the quiet span is built
-for.
+at the repo root.  The matrix is all six apps (jpeg, mp3 and the four
+DSP apps) at two MTBEs under all four protection levels, plus the
+reduced Figure 10 quality campaign (the sweep the speedup target is
+defined on) and its high-MTBE rungs alone, the sparse-error regime the
+quiet span is built for.
 
 Usage::
 
@@ -48,7 +48,14 @@ CONFIGS = {
     "fast": SystemConfig(),  # exec_mode="fast" is the default
 }
 
-BENCH_APPS = ("jpeg", "mp3", "fft")
+BENCH_APPS = (
+    "jpeg",
+    "mp3",
+    "fft",
+    "complex-fir",
+    "channelvocoder",
+    "audiobeamformer",
+)
 BENCH_MTBES = (64_000, 512_000)
 
 #: The fast-path target is defined on the sparse-error rungs: at MTBE >=
@@ -126,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         speedup = timings["precise"] / timings["fast"]
         rate = "error-free" if mtbe is None else f"{mtbe // 1000}k"
         print(
-            f"{app_name:5s} {level.value:22s} {rate:>10s}  "
+            f"{app_name:15s} {level.value:22s} {rate:>10s}  "
             f"precise {timings['precise']:7.3f}s  fast {timings['fast']:7.3f}s  "
             f"{speedup:5.2f}x"
         )

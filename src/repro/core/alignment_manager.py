@@ -74,7 +74,7 @@ class AlignmentManager:
         """Run one FSM transition, tracing state changes."""
         previous = self.state
         self.state = transition(previous, event)
-        if self.state is not previous:
+        if self.state is not previous and self.observer is not None:
             self._notify(
                 TraceKind.TRANSITION,
                 active_fc,

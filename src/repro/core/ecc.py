@@ -10,6 +10,11 @@ Codeword layout (bit 0 = LSB):
   * positions 1..38 follow the textbook Hamming layout: parity bits sit at
     power-of-two positions (1, 2, 4, 8, 16, 32) and data bits fill the rest;
   * position 0 holds the overall (even) parity over positions 1..38.
+
+Parity is evaluated word-parallel: each parity bit owns a precomputed mask
+of the positions it covers, and the parity of ``codeword & mask`` is one
+``int.bit_count()``.  Data bits move between word and codeword as the few
+contiguous runs the layout leaves between parity positions.
 """
 
 from __future__ import annotations
@@ -27,13 +32,35 @@ class EccError(Exception):
     """Raised when a codeword holds an uncorrectable (double-bit) error."""
 
 
-def _parity_of_positions(codeword: int, parity_bit: int) -> int:
-    """Even parity over all positions covered by *parity_bit* (excl. itself)."""
-    parity = 0
-    for pos in range(1, CODEWORD_BITS):
-        if pos != parity_bit and pos & parity_bit:
-            parity ^= (codeword >> pos) & 1
-    return parity
+#: Per parity bit: the mask of the data positions it covers (itself
+#: excluded; no other parity position shares a bit with it).
+_COVER_MASKS = tuple(
+    sum(1 << pos for pos in _DATA_POSITIONS if pos & parity_bit)
+    for parity_bit in _PARITY_POSITIONS
+)
+#: Per parity bit: its cover plus itself; odd parity is a syndrome bit.
+_CHECK_MASKS = tuple(
+    mask | (1 << parity_bit)
+    for mask, parity_bit in zip(_COVER_MASKS, _PARITY_POSITIONS)
+)
+
+
+def _data_runs() -> tuple[tuple[int, int, int], ...]:
+    """``(data_shift, codeword_shift, width_mask)`` per run of consecutive
+    data positions, in data-bit order."""
+    runs = []
+    start = 0
+    for i in range(1, len(_DATA_POSITIONS) + 1):
+        if (
+            i == len(_DATA_POSITIONS)
+            or _DATA_POSITIONS[i] != _DATA_POSITIONS[i - 1] + 1
+        ):
+            runs.append((start, _DATA_POSITIONS[start], (1 << (i - start)) - 1))
+            start = i
+    return tuple(runs)
+
+
+_DATA_RUNS = _data_runs()
 
 
 def ecc_encode(data: int) -> int:
@@ -41,20 +68,18 @@ def ecc_encode(data: int) -> int:
     if not 0 <= data < (1 << 32):
         raise ValueError("ecc_encode expects a 32-bit word")
     codeword = 0
-    for i, pos in enumerate(_DATA_POSITIONS):
-        codeword |= ((data >> i) & 1) << pos
-    for parity_bit in _PARITY_POSITIONS:
-        codeword |= _parity_of_positions(codeword, parity_bit) << parity_bit
-    overall = 0
-    for pos in range(1, CODEWORD_BITS):
-        overall ^= (codeword >> pos) & 1
-    return codeword | overall
+    for data_shift, pos, width in _DATA_RUNS:
+        codeword |= ((data >> data_shift) & width) << pos
+    for parity_bit, mask in zip(_PARITY_POSITIONS, _COVER_MASKS):
+        codeword |= ((codeword & mask).bit_count() & 1) << parity_bit
+    # Position 0 is still clear, so this is the parity over 1..38.
+    return codeword | (codeword.bit_count() & 1)
 
 
 def _extract_data(codeword: int) -> int:
     data = 0
-    for i, pos in enumerate(_DATA_POSITIONS):
-        data |= ((codeword >> pos) & 1) << i
+    for data_shift, pos, width in _DATA_RUNS:
+        data |= ((codeword >> pos) & width) << data_shift
     return data
 
 
@@ -67,15 +92,11 @@ def ecc_decode(codeword: int) -> tuple[int, bool]:
     if not 0 <= codeword < (1 << CODEWORD_BITS):
         raise ValueError("ecc_decode expects a 39-bit codeword")
     syndrome = 0
-    for parity_bit in _PARITY_POSITIONS:
-        computed = _parity_of_positions(codeword, parity_bit)
-        stored = (codeword >> parity_bit) & 1
-        if computed != stored:
+    for parity_bit, mask in zip(_PARITY_POSITIONS, _CHECK_MASKS):
+        if (codeword & mask).bit_count() & 1:
             syndrome |= parity_bit
-    overall = 0
-    for pos in range(CODEWORD_BITS):
-        overall ^= (codeword >> pos) & 1
     # overall == 0 means the stored overall-parity bit matches positions 1..38.
+    overall = codeword.bit_count() & 1
     if syndrome == 0:
         if overall == 0:
             return _extract_data(codeword), False

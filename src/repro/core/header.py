@@ -22,7 +22,7 @@ payloads are exposed to the error injector.
 
 from __future__ import annotations
 
-from repro.core.ecc import ecc_decode, ecc_encode
+from repro.core.ecc import EccError, ecc_decode, ecc_encode
 from repro.words import WORD_MASK
 
 #: Reserved frame ID signalling "this producer has finished its computation".
@@ -77,5 +77,5 @@ def is_end_of_computation(unit: DataUnit) -> bool:
         return False
     try:
         return header_frame_id(unit) == END_OF_COMPUTATION
-    except Exception:
+    except EccError:
         return False

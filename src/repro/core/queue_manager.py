@@ -284,7 +284,7 @@ class GuardedQueue:
         return len(self._producer_local)
 
     def total_units(self) -> int:
-        return self.visible_units() + self.unpublished_units()
+        return len(self._published) - self._read + len(self._producer_local)
 
     @property
     def flushed(self) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import header as header_mod
 from repro.core.ecc import EccError
 from repro.core.header import (
     END_OF_COMPUTATION,
@@ -68,3 +69,17 @@ class TestHeaderUnits:
         unit = header_unit(77) ^ 0b11
         with pytest.raises(EccError):
             header_frame_id(unit)
+
+
+class TestEndOfComputationCheck:
+    def test_double_bit_eoc_header_is_not_eoc(self):
+        unit = header_unit(END_OF_COMPUTATION) ^ 0b11
+        assert is_end_of_computation(unit) is False
+
+    def test_only_ecc_errors_are_swallowed(self, monkeypatch):
+        def broken(unit):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(header_mod, "header_frame_id", broken)
+        with pytest.raises(RuntimeError):
+            header_mod.is_end_of_computation(header_unit(END_OF_COMPUTATION))
