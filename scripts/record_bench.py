@@ -17,8 +17,11 @@ Usage::
         [--repeats 2] [--out BENCH_simulator.json] [--check]
 
 ``--check`` exits non-zero when the fast path is slower than precise on
-the campaign, or falls under 1.2x over precise on the high-MTBE
-campaign — CI runs with it so a fast-path regression fails the build.
+the campaign, falls under 1.2x over precise on the high-MTBE campaign,
+or is slower than precise summed over the CommGuard cells of the DSP
+apps whose every firing crosses a frame (complex-fir, channelvocoder,
+audiobeamformer) — CI runs with it so a fast-path regression fails the
+build.
 Timings are best-of-``--repeats`` wall clock; both modes produce
 bit-identical results (enforced by
 ``tests/machine/test_exec_mode_equivalence.py``), so only time differs.
@@ -64,6 +67,13 @@ HIGH_MTBE_FLOOR = 1_024_000
 
 #: Minimum fast-over-precise campaign speedup ``--check`` accepts.
 FAST_PATH_CHECK_FLOOR = 1.2
+
+#: Apps that cross a frame boundary on every firing: their CommGuard cells
+#: time the frame-crossing fast path (bulk header pops, header codebook).
+FRAME_CROSSING_APPS = ("complex-fir", "channelvocoder", "audiobeamformer")
+#: Minimum fast-over-precise speedup ``--check`` accepts on those cells,
+#: summed.
+FRAME_CROSSING_CHECK_FLOOR = 1.0
 
 
 def grid_cells() -> list[tuple[str, ProtectionLevel, int | None]]:
@@ -183,6 +193,24 @@ def main(argv: list[str] | None = None) -> int:
         f"fast {fast_path_s['fast']:.3f}s  {fast_path_speedup:.2f}x"
     )
 
+    crossing_cells = [
+        cell
+        for cell in grid
+        if cell["app"] in FRAME_CROSSING_APPS
+        and cell["protection"] == ProtectionLevel.COMMGUARD.value
+    ]
+    crossing_s = {
+        name: sum(cell[f"{name}_s"] for cell in crossing_cells)
+        for name in CONFIGS
+    }
+    crossing_speedup = crossing_s["precise"] / crossing_s["fast"]
+    print(
+        f"frame-crossing CommGuard cells ({len(crossing_cells)} cells, "
+        f"{', '.join(FRAME_CROSSING_APPS)}): "
+        f"precise {crossing_s['precise']:.3f}s  fast {crossing_s['fast']:.3f}s  "
+        f"{crossing_speedup:.2f}x"
+    )
+
     speedups = [cell["speedup"] for cell in grid]
     report = {
         "benchmark": "simulator-exec-mode",
@@ -211,6 +239,14 @@ def main(argv: list[str] | None = None) -> int:
             "fast_s": round(fast_path_s["fast"], 4),
             "speedup": round(fast_path_speedup, 3),
         },
+        "frame_crossing": {
+            "name": "commguard-dsp-cells",
+            "apps": list(FRAME_CROSSING_APPS),
+            "cells": len(crossing_cells),
+            "precise_s": round(crossing_s["precise"], 4),
+            "fast_s": round(crossing_s["fast"], 4),
+            "speedup": round(crossing_speedup, 3),
+        },
         "summary": {
             "geomean_speedup": round(
                 math.exp(sum(math.log(s) for s in speedups) / len(speedups)), 3
@@ -219,6 +255,7 @@ def main(argv: list[str] | None = None) -> int:
             "max_speedup": round(max(speedups), 3),
             "campaign_speedup": round(campaign_speedup, 3),
             "fast_path_speedup": round(fast_path_speedup, 3),
+            "frame_crossing_speedup": round(crossing_speedup, 3),
         },
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
@@ -235,6 +272,13 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"FAIL: fast path under {FAST_PATH_CHECK_FLOOR}x over precise "
             "on the high-MTBE campaign",
+            file=sys.stderr,
+        )
+        failed = True
+    if args.check and crossing_speedup < FRAME_CROSSING_CHECK_FLOOR:
+        print(
+            "FAIL: fast path slower than precise on the CommGuard cells of "
+            f"{', '.join(FRAME_CROSSING_APPS)}",
             file=sys.stderr,
         )
         failed = True

@@ -31,6 +31,10 @@ import enum
 class AlignmentState(enum.Enum):
     """AM FSM states of Table 1."""
 
+    # Members are singletons, so identity hashing is exact; it keeps the
+    # per-frame transition lookup off Enum's Python-level name hash.
+    __hash__ = object.__hash__
+
     RCV_CMP = "RcvCmp"
     EXP_HDR = "ExpHdr"
     DISC_FR = "DiscFr"
@@ -40,6 +44,8 @@ class AlignmentState(enum.Enum):
 
 class AlignmentEvent(enum.Enum):
     """AM FSM input events of Table 1."""
+
+    __hash__ = object.__hash__
 
     NEW_FRAME_COMPUTATION = "new frame computation started"
     RECEIVED_ITEM = "received item"

@@ -16,6 +16,10 @@ redundant active-fc counter per frame domain, as Section 5.4 prescribes).
 The thread interacts with the guard through exactly the interface events of
 Table 2: ``push``, ``pop`` and ``new frame computation`` (plus the
 end-of-computation signal from the PPU protection module).
+
+In the fast exec mode every guard of one run shares a header *codebook*
+(frame id -> header unit): the HIs encode each frame id once per run and
+the AMs recognise the expected frame's header without decoding it.
 """
 
 from __future__ import annotations
@@ -58,12 +62,20 @@ class _FrameDomain:
 class CommGuard:
     """The reliable CommGuard modules attached to one PPU core/thread."""
 
-    def __init__(self, config: CommGuardConfig | None = None) -> None:
+    def __init__(
+        self,
+        config: CommGuardConfig | None = None,
+        codebook: dict[int, int] | None = None,
+    ) -> None:
         self.config = config or CommGuardConfig()
         self.stats = CommGuardStats()
         self.qit = QueueInfoTable()
         self.qm = QueueManager(self.stats)
-        self.hi = HeaderInserter(self.qm, self.stats)
+        #: frame id -> header unit, one dict shared by every guard of a
+        #: fast-mode run (see :meth:`MulticoreSystem.build`); ``None``
+        #: encodes and decodes every header.
+        self.codebook = codebook
+        self.hi = HeaderInserter(self.qm, self.stats, self.codebook)
         self._ended = False
         self._ams: dict[int, AlignmentManager] = {}
         # qid -> domain; domains may be shared between queues of equal scale.
@@ -81,7 +93,9 @@ class CommGuard:
     def attach_incoming(
         self, queue: GuardedQueue, frame_scale: int | None = None
     ) -> AlignmentManager:
-        am = AlignmentManager(queue, self.stats, pad_word=self.config.pad_word)
+        am = AlignmentManager(
+            queue, self.stats, pad_word=self.config.pad_word, codebook=self.codebook
+        )
         self._ams[queue.qid] = am
         self._domains[queue.qid] = self._domain_for(frame_scale)
         self.qm.attach_incoming(queue)
@@ -156,12 +170,13 @@ class CommGuard:
 
     def pop_many(self, qid: int, limit: int) -> list[int]:
         """Bulk fast path: pop up to *limit* aligned plain items."""
-        return self._ams[qid].pop_block(limit)
+        return self._ams[qid].pop_block(limit, self._domains[qid].active_fc)
 
     def can_pop_quiet(self, qid: int, count: int) -> bool:
         """True when *count* pops on *qid* would complete without blocking,
-        padding, discarding or any FSM transition (quiet-span eligibility)."""
-        return self._ams[qid].can_pop_block(count)
+        padding or discarding; the only FSM transition allowed is consuming
+        the expected header of a frame crossing (quiet-span eligibility)."""
+        return self._ams[qid].can_pop_block(count, self._domains[qid].active_fc)
 
     def can_push_quiet(self, qid: int, count: int) -> bool:
         """True when *count* pushes on *qid* would complete without

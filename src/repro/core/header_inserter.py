@@ -11,6 +11,13 @@ keeps a worklist of still-pending insertions and :meth:`advance` retries
 them until done.  A thread must not execute further pushes/pops until the
 HI drains (this is the serializing behaviour whose cost Section 5.3 and
 Fig. 13 evaluate).
+
+In the fast exec mode header units come from a *codebook* (frame id ->
+header unit) shared by every guard of one run: each frame id is
+ECC-encoded once per run, however many queues and threads insert it.  The
+codebook is per run, not per process, so every run still does (and every
+per-layer profile still sees) its own encoding work.  Without a codebook
+(the precise reference) every insertion encodes its header.
 """
 
 from __future__ import annotations
@@ -26,9 +33,17 @@ from repro.observability.events import HeaderInserted
 class HeaderInserter:
     """Per-thread HI module."""
 
-    def __init__(self, qm: QueueManager, stats: CommGuardStats) -> None:
+    def __init__(
+        self,
+        qm: QueueManager,
+        stats: CommGuardStats,
+        codebook: dict[int, int] | None = None,
+    ) -> None:
         self._qm = qm
         self._stats = stats
+        #: frame id -> header unit, shared with the run's other guards
+        #: (``None``: encode every header).
+        self.codebook = codebook
         # Pending work: ("header", qid, frame_id) or ("flush", qid, 0).
         self._pending: deque[tuple[str, int, int]] = deque()
         #: Optional structured-event sink plus the owning thread's name,
@@ -69,12 +84,23 @@ class HeaderInserter:
         for qid in self._qm.outgoing:
             self._pending.append(("flush", qid, 0))
 
+    def header(self, frame_id: int) -> int:
+        """The header unit for *frame_id*; with a codebook, encoded at most
+        once per run."""
+        codebook = self.codebook
+        if codebook is None:
+            return header_unit(frame_id)
+        unit = codebook.get(frame_id)
+        if unit is None:
+            unit = codebook[frame_id] = header_unit(frame_id)
+        return unit
+
     def advance(self) -> bool:
         """Retry pending insertions; ``True`` when the worklist is drained."""
         while self._pending:
             kind, qid, frame_id = self._pending[0]
             if kind == "header":
-                if not self._qm.push(qid, header_unit(frame_id)):
+                if not self._qm.push(qid, self.header(frame_id)):
                     return False
                 if self.tracer is not None:
                     self.tracer.emit(

@@ -279,6 +279,26 @@ class GuardedQueue:
             return min(visible, self._header_offsets[0] - self._popped_total)
         return visible
 
+    def front_header(self) -> DataUnit | None:
+        """The header unit at the consumer's front, or ``None`` when the
+        front is a plain unit or nothing is published.  O(1)."""
+        offsets = self._header_offsets
+        if offsets and offsets[0] == self._popped_total:
+            return self._published[self._read]
+        return None
+
+    def plain_units_behind_header(self) -> int:
+        """Consecutive plain units published right behind the front header.
+
+        Only meaningful when :meth:`front_header` is not ``None``; the
+        frame-crossing counterpart of :meth:`plain_visible_units`.  O(1).
+        """
+        behind = len(self._published) - self._read - 1
+        offsets = self._header_offsets
+        if len(offsets) > 1:
+            return min(behind, offsets[1] - self._popped_total - 1)
+        return behind
+
     def unpublished_units(self) -> int:
         """Units sitting in the producer's local working set."""
         return len(self._producer_local)

@@ -315,9 +315,32 @@ def _resolve_fault_hook(hook) -> Callable[[RunSpec, int], None] | None:
 _WORKER_RUNNER: SimulationRunner | None = None
 
 
+#: Seconds between a pool worker's checks that its parent is still alive.
+_PARENT_POLL_S = 1.0
+
+
 def _init_worker(scale: float) -> None:
     global _WORKER_RUNNER
     _WORKER_RUNNER = SimulationRunner(scale=scale)
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(os.getppid(),),
+        name="repro-parent-watch",
+        daemon=True,
+    ).start()
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Exit this pool worker once its parent is gone.
+
+    ``ProcessPoolExecutor`` workers never notice a parent killed with
+    SIGKILL: they would wait on the call queue forever.  An orphan is
+    re-parented, so a changed ``getppid()`` means the parent died.
+    """
+    while True:
+        time.sleep(_PARENT_POLL_S)
+        if os.getppid() != parent_pid:
+            os._exit(1)
 
 
 def _run_in_worker(

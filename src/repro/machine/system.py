@@ -195,13 +195,17 @@ class MulticoreSystem:
                 raw.profiler = profiler
 
         cores = [SimCore(core_id, injectors[core_id]) for core_id in range(config.n_cores)]
+        # Fast mode: one header codebook per run, shared by every guard
+        # (never one per process: each run must do, and profile, its own
+        # ECC work).  The precise reference encodes and decodes every header.
+        codebook: dict[int, int] | None = {} if config.exec_mode == "fast" else None
         all_queues: dict[int, object] = dict(guarded_queues or raw_queues)
         for node in graph.nodes:
             in_edges = graph.in_edges(node)
             out_edges = graph.out_edges(node)
             comm: CommPath
             if guarded:
-                guard = CommGuard(cg_config)
+                guard = CommGuard(cg_config, codebook=codebook)
                 for edge in in_edges:
                     guard.attach_incoming(
                         guarded_queues[edge.qid],

@@ -69,9 +69,11 @@ class CommPath:
     ) -> bool:
         """True when one whole steady-state firing (popping ``input_rates``
         and pushing ``output_rates`` per port) is guaranteed to complete
-        without blocking or any guard-state transition — the quiet-span
-        fast path's communication-eligibility check.  Conservative ``False``
-        falls back to the precise per-word path."""
+        without blocking, padding or discarding — the quiet-span fast
+        path's communication-eligibility check.  The one guard-state
+        transition allowed is consuming the expected header of a frame
+        crossing.  Conservative ``False`` falls back to the precise
+        per-word path."""
         return False
 
     def on_end(self) -> None:
@@ -349,7 +351,8 @@ class NodeThread:
         * the injector certifies the firing's instruction window as quiet
           (no error arrival can land inside it), and
         * the communication path certifies every pop and push of the firing
-          completes without blocking or any guard-state transition.
+          completes without blocking, padding or discarding (a frame
+          crossing's expected header may be consumed on the way).
 
         An eligible firing is, word for word, the firing the precise path
         would execute with zero injected events and zero blocked retries —

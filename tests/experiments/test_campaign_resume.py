@@ -148,10 +148,12 @@ class TestSigkillResume:
         self._repro(ref_dir, *sweep, "--output", "report.json")
 
         # Launch the same sweep, SIGKILL it once the store shows progress.
+        # Its own session makes it (and its pool workers) one process group.
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", *sweep],
             cwd=kill_dir, env=self._env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         db = kill_dir / "db.sqlite"
         deadline = time.time() + 120
@@ -164,6 +166,15 @@ class TestSigkillResume:
             time.sleep(0.01)
         process.wait(timeout=60)
         assert process.returncode == -signal.SIGKILL
+        # Orphaned pool workers notice their parent died and exit.
+        deadline = time.time() + 10
+        while True:
+            try:
+                os.killpg(process.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.time() < deadline, "pool workers outlived the killed sweep"
+            time.sleep(0.1)
 
         store = RunStore(db, fallback=False)
         campaign = store.campaign_ids()[0]

@@ -24,12 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import build_app
+from repro.core.config import CommGuardConfig
+from repro.core.guard import CommGuard
+from repro.core.queue_manager import QueueGeometry
 from repro.experiments.cache import spec_key
 from repro.experiments.parallel import RunSpec
 from repro.machine.errors import ErrorInjector, ErrorModel
 from repro.machine.protection import ProtectionLevel
 from repro.machine.scheduler import EventScheduler, LegacyScheduler
-from repro.machine.system import SystemConfig, run_program
+from repro.machine.system import MulticoreSystem, SystemConfig, run_program
 from repro.observability import JsonlTracer
 
 PRECISE = SystemConfig(exec_mode="precise")
@@ -144,6 +147,87 @@ class TestFaultModels:
         assert (
             run_snapshot(FAST, app_name, ProtectionLevel.COMMGUARD, 50_000.0, 1, **kw)
             == reference
+        )
+
+
+class TestCommGuardConfigs:
+    """The frame-crossing fast path (bulk expected-header pops, the per-run
+    header codebook) under non-default CommGuard geometry and frame
+    definitions, on the DSP apps where every firing crosses a frame."""
+
+    POINTS = [(app, mtbe) for app in DSP_APPS for mtbe in (64_000.0, 1_024_000.0)]
+
+    @pytest.mark.parametrize("app_name,mtbe", POINTS)
+    def test_frame_scale_two(self, app_name, mtbe):
+        kw = dict(scale=0.1, commguard_config=CommGuardConfig(frame_scale=2))
+        assert run_snapshot(
+            FAST, app_name, ProtectionLevel.COMMGUARD, mtbe, 1, **kw
+        ) == run_snapshot(PRECISE, app_name, ProtectionLevel.COMMGUARD, mtbe, 1, **kw)
+
+    @pytest.mark.parametrize("app_name,mtbe", POINTS)
+    def test_workset_of_one_unit(self, app_name, mtbe):
+        kw = dict(scale=0.1, commguard_config=CommGuardConfig(workset_units=1))
+        assert run_snapshot(
+            FAST, app_name, ProtectionLevel.COMMGUARD, mtbe, 1, **kw
+        ) == run_snapshot(PRECISE, app_name, ProtectionLevel.COMMGUARD, mtbe, 1, **kw)
+
+    @pytest.mark.parametrize("app_name,mtbe", POINTS)
+    def test_per_edge_frame_scales(self, app_name, mtbe):
+        domains = []
+
+        def snapshot(config):
+            app = build_app(app_name, scale=0.1)
+            scales = {
+                edge.qid: 2 for edge in app.program.graph.edges if edge.qid % 2
+            }
+            system = MulticoreSystem.build(
+                app.program,
+                ProtectionLevel.COMMGUARD,
+                error_model=ErrorModel(mtbe=mtbe),
+                seed=1,
+                system_config=config,
+                edge_frame_scales=scales,
+            )
+            domains.extend(
+                len(thread.comm.guard._domains_by_scale)
+                for core in system.cores
+                for thread in core.threads
+            )
+            return result_snapshot(system.run())
+
+        assert snapshot(FAST) == snapshot(PRECISE)
+        # Some thread rolls over two frame domains at different rates.
+        assert max(domains) > 1
+
+    @pytest.mark.parametrize("app_name,mtbe", POINTS)
+    def test_tight_geometry_blocks_header_insertion(
+        self, monkeypatch, app_name, mtbe
+    ):
+        """Queues one frame deep: the producer's next header often finds
+        its queue full at rollover, so the HI worklist outlives the
+        rollover's drain attempt."""
+
+        def tight(push_rate, pop_rate, items_per_frame, workset_units=256):
+            return QueueGeometry(
+                workset_units=2,
+                capacity_units=items_per_frame + max(push_rate, pop_rate) + 1,
+            )
+
+        monkeypatch.setattr("repro.machine.system.plan_geometry", tight)
+        drains = []
+        original = CommGuard.advance_header_insertions
+
+        def recording(self):
+            drains.append(original(self))
+            return drains[-1]
+
+        monkeypatch.setattr(CommGuard, "advance_header_insertions", recording)
+        fast = run_snapshot(
+            FAST, app_name, ProtectionLevel.COMMGUARD, mtbe, 1, scale=0.1
+        )
+        assert not all(drains)
+        assert fast == run_snapshot(
+            PRECISE, app_name, ProtectionLevel.COMMGUARD, mtbe, 1, scale=0.1
         )
 
 
