@@ -43,9 +43,14 @@ from repro.apps.base import BenchmarkApp
 from repro.apps.registry import APP_BUILDERS
 from repro.core.config import CommGuardConfig
 from repro.experiments.aggregate import CellStats, summarize
-from repro.experiments.cache import record_from_dict, record_to_dict
+from repro.experiments.cache import (
+    record_from_dict,
+    record_to_dict,
+    spec_from_dict,
+    spec_to_dict,
+)
 from repro.experiments.options import EngineOptions
-from repro.experiments.store import RunStore, derive_campaign_id
+from repro.experiments.store import RunStore, derive_campaign_id, resolve_store
 from repro.experiments.parallel import (
     FailureRecord,
     ParallelRunner,
@@ -145,18 +150,6 @@ class AppInfo:
         )
 
 
-def _spec_to_dict(spec: RunSpec) -> dict:
-    data = dataclasses.asdict(spec)
-    data["protection"] = spec.protection.value
-    return data
-
-
-def _spec_from_dict(data: dict) -> RunSpec:
-    fields_ = dict(data)
-    fields_["protection"] = ProtectionLevel(fields_["protection"])
-    return RunSpec(**fields_)
-
-
 def _options_to_dict(options: EngineOptions) -> dict:
     """JSON-safe document of :class:`EngineOptions`.
 
@@ -186,7 +179,7 @@ def _options_from_dict(data: dict) -> EngineOptions:
 def _failure_to_dict(failure: FailureRecord) -> dict:
     return {
         "index": failure.index,
-        "spec": _spec_to_dict(failure.spec),
+        "spec": spec_to_dict(failure.spec),
         "failure": failure.failure,
         "message": failure.message,
         "attempts": failure.attempts,
@@ -196,7 +189,7 @@ def _failure_to_dict(failure: FailureRecord) -> dict:
 def _failure_from_dict(data: dict) -> FailureRecord:
     return FailureRecord(
         index=data["index"],
-        spec=_spec_from_dict(data["spec"]),
+        spec=spec_from_dict(data["spec"]),
         failure=data["failure"],
         message=data["message"],
         attempts=data["attempts"],
@@ -295,7 +288,7 @@ class RunReport:
             "schema_version": SCHEMA_VERSION,
             "kind": "run_report",
             "app": {"name": self.app.name, "metric": self.app.metric},
-            "spec": _spec_to_dict(self.spec),
+            "spec": spec_to_dict(self.spec),
             "record": record_to_dict(self.record),
             "trace_path": str(self.trace_path) if self.trace_path else None,
         }
@@ -308,7 +301,7 @@ class RunReport:
         _check_document(data, "run_report")
         trace_path = data.get("trace_path")
         return cls(
-            spec=_spec_from_dict(data["spec"]),
+            spec=spec_from_dict(data["spec"]),
             record=record_from_dict(data["record"]),
             result=None,
             app=AppInfo(**data["app"]),
@@ -369,10 +362,10 @@ def run(
 
     ``options.store`` points the run at a
     :class:`~repro.experiments.store.RunStore`: an untraced run whose
-    point is already in the store (or in the legacy cache it reads
-    through) returns the stored record without simulating — such a
-    report carries ``result=None``, exactly like a deserialized one —
-    and an executed run is persisted to the store with provenance.
+    point is already in the store returns the stored record without
+    simulating — such a report carries ``result=None``, exactly like a
+    deserialized one — and an executed run is persisted to the store
+    with provenance.
     Runs with an ``error_model`` override never touch the store: the
     override is not part of the spec's content key, so neither a cached
     baseline record nor a store write would be faithful to it.
@@ -643,7 +636,7 @@ class SweepReport:
             "options": _options_to_dict(self.options),
             "points": [
                 {
-                    "spec": _spec_to_dict(point.spec),
+                    "spec": spec_to_dict(point.spec),
                     "record": (
                         record_to_dict(point.record)
                         if point.record is not None
@@ -668,7 +661,7 @@ class SweepReport:
         _check_document(data, "sweep_report")
         points = [
             SweepPoint(
-                spec=_spec_from_dict(entry["spec"]),
+                spec=spec_from_dict(entry["spec"]),
                 record=(
                     record_from_dict(entry["record"])
                     if entry.get("record") is not None
@@ -718,7 +711,7 @@ class SweepReport:
         status = store.campaign(campaign)
         points = []
         for position, (spec, key) in enumerate(zip(status.specs, status.keys)):
-            record = store.get(key)
+            record = store.load(key)
             failure = None
             if record is None:
                 failure = store.failure_for(key)
@@ -794,11 +787,11 @@ def sweep(
     how wide they are.  ``fault_model`` selects the injected error
     process (see :mod:`repro.machine.faults`); it applies only to
     error-injecting points, so the error-free reference point is shared
-    (and cache-shared) across fault models.
+    (and store-shared) across fault models.
 
     *options* is the shared :class:`~repro.experiments.EngineOptions` the
     CLI and figure harnesses use: the sweep executes on the parallel
-    engine with its ``jobs``/``cache``/``trace_dir`` behaviour, and
+    engine with its ``jobs``/``trace_dir`` behaviour, and
     ``options.scale`` is the app-build input scale.  The fault-tolerance
     knobs (``retries``, ``run_timeout``, ``retry_backoff``,
     ``keep_going``) flow through too: a strict sweep (default) raises
@@ -813,8 +806,8 @@ def sweep(
     ``collect_results=True`` keeps every point's raw
     :class:`~repro.machine.runstats.RunResult` (needed e.g. to decode
     output signals); those runs execute serially in-process and bypass
-    the on-disk cache, which stores flat records only.  A prebuilt *app*
-    forces the same path: worker processes and the cache only know how to
+    the store, which holds flat records only.  A prebuilt *app* forces
+    the same path: worker processes and the store only know how to
     rebuild registry apps by name.
 
     ``profile`` takes a :class:`~repro.observability.ProfileSession`;
@@ -822,16 +815,20 @@ def sweep(
     cache scans, per-run wall seconds, worker pool lifecycle) into
     ``profile.engine``.  Simulated-time timelines are a per-run
     artifact — use :func:`run` with ``profile=`` for those.  Wall time
-    is a nondeterministic side channel: it never enters cache keys,
+    is a nondeterministic side channel: it never enters content keys,
     trace bytes, stored records, or report documents.
 
-    ``options.store`` turns the sweep into a resumable **campaign**
-    recorded in a :class:`~repro.experiments.store.RunStore`: the grid is
-    registered under *campaign* (or a deterministic id derived from the
-    specs when ``campaign=None``), completed points become store hits on
-    a rerun, and :meth:`SweepReport.from_store` rebuilds the byte-exact
-    report later.  The in-process path (``collect_results=True`` or a
-    prebuilt app) ignores the store — raw results are not persistable.
+    The sweep persists to the store
+    :func:`~repro.experiments.store.resolve_store` picks: ``options.store``
+    when set, else the default store when ``options.cache`` is true.  An
+    explicit ``options.store`` also turns the sweep into a resumable
+    **campaign** recorded in a :class:`~repro.experiments.store.RunStore`:
+    the grid is registered under *campaign* (or a deterministic id
+    derived from the specs when ``campaign=None``), completed points
+    become store hits on a rerun, and :meth:`SweepReport.from_store`
+    rebuilds the byte-exact report later.  The in-process path
+    (``collect_results=True`` or a prebuilt app) ignores the store — raw
+    results are not persistable.
     """
     options = options or EngineOptions()
     scale = options.scale if options.scale is not None else 1.0
@@ -872,21 +869,10 @@ def sweep(
             )
         return SweepReport(app=bench, points=points, options=options)
 
-    run_store = RunStore.coerce(options.store)
-    if run_store is not None and campaign is None:
-        campaign = derive_campaign_id(specs, scale)
-    runner = ParallelRunner(
-        scale=scale,
-        jobs=options.jobs,
-        cache=options.cache,
-        trace_dir=options.trace_dir,
-        retries=options.retries,
-        run_timeout=options.run_timeout,
-        retry_backoff=options.retry_backoff,
-        strict=not options.keep_going,
-        profiler=engine,
-    )
-    if run_store is not None:
+    run_store = resolve_store(options.store, options.cache)
+    if options.store is not None and run_store is not None:
+        # An explicitly chosen store records the sweep as a campaign.
+        campaign = campaign or derive_campaign_id(specs, scale)
         run_store.begin_campaign(
             campaign,
             specs,
@@ -895,7 +881,18 @@ def sweep(
             metric=bench.metric,
             options=_options_to_dict(options),
         )
-        runner.attach_store(run_store, campaign=campaign)
+    runner = ParallelRunner(
+        scale=scale,
+        jobs=options.jobs,
+        trace_dir=options.trace_dir,
+        retries=options.retries,
+        run_timeout=options.run_timeout,
+        retry_backoff=options.retry_backoff,
+        strict=not options.keep_going,
+        store=run_store,
+        campaign=campaign,
+        profiler=engine,
+    )
     with engine_span(
         engine, "sweep", app=bench.name, points=len(specs), jobs=options.jobs
     ):

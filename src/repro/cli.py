@@ -11,7 +11,7 @@ Commands:
   fault-tolerance flags — ``--retries N``, ``--run-timeout SECONDS``,
   ``--keep-going`` — retry failed runs with deterministic backoff,
   preempt hung runs, and finish the sweep past exhausted points; Ctrl-C
-  exits cleanly with every completed run already flushed to the cache.
+  exits cleanly with every completed run already flushed to the store.
   ``--metrics-out FILE`` writes the engine's metrics registry in
   Prometheus textfile format after the sweep.
 * ``paper`` — run the whole paper reproduction at a scale tier
@@ -33,11 +33,10 @@ Commands:
 * ``top`` — store-backed campaign health: done/failed/pending,
   executed-vs-hit split, run wall seconds, throughput and an ETA for
   the pending points.
-* ``cache`` — inspect or clear the on-disk result cache.
 * ``store`` — the SQLite result store: ``stats``, ``query`` (filter by
   app/protection/mtbe/seed/fault-model), ``gc`` (prune superseded
-  failures + orphaned files), ``import`` (one-shot legacy-cache
-  migration), ``export`` (JSONL dump).
+  failures + dangling traces), ``import`` (one-shot migration of a 2.x
+  ``.repro_cache/``), ``export`` (JSONL dump).
 
 ``sweep --store [PATH]`` records the sweep as a resumable *campaign* in
 the store: every completed point is flushed as it finishes, so after a
@@ -52,9 +51,10 @@ contract, so the choice only affects wall-clock time.
 
 ``figure`` and ``sweep`` execute through the parallel sweep engine:
 ``--jobs N`` (or the ``REPRO_JOBS`` environment variable) fans independent
-runs out over N worker processes, and completed points are memoized under
-``.repro_cache/`` (``--no-cache`` disables; ``REPRO_CACHE_DIR`` moves the
-root) so re-running a figure or resuming an interrupted sweep skips
+runs out over N worker processes, and completed points persist in the
+SQLite result store — ``--store PATH`` when given, else the default
+``.repro_store.sqlite`` (``REPRO_STORE`` moves it; ``--no-cache`` opts
+out) — so re-running a figure or resuming an interrupted sweep skips
 finished work.
 """
 
@@ -68,7 +68,6 @@ from pathlib import Path
 
 from repro import api
 from repro.apps.registry import APP_ORDER
-from repro.experiments.cache import ResultCache
 from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import (
     ParallelRunner,
@@ -78,7 +77,12 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.aggregate import summarize
 from repro.experiments.registry import figure_names, figure_specs, resolve_figure
-from repro.experiments.store import RunStore, derive_campaign_id
+from repro.experiments.store import (
+    RunStore,
+    derive_campaign_id,
+    legacy_cache_root,
+    resolve_store,
+)
 from repro.experiments.report import db_or_errorfree, format_table
 from repro.machine.faults import FAULT_MODELS, FaultModelSpec, fault_model_names
 from repro.machine.protection import ProtectionLevel
@@ -121,7 +125,8 @@ def _positive_int(text: str) -> int:
 
 
 def _cache_option(args: argparse.Namespace):
-    """The engine cache option for a parsed command line."""
+    """Whether a command line without ``--store`` persists to the default
+    store (``--no-cache`` opts out)."""
     return not getattr(args, "no_cache", False)
 
 
@@ -254,33 +259,25 @@ def _sweep_summary(
     return f"{header}\n{table}"
 
 
-def _sweep_store(args: argparse.Namespace) -> RunStore | None:
-    """The store a ``sweep`` command line selects (``--campaign`` /
-    ``--resume`` without ``--store`` imply the default store)."""
-    choice = args.store
-    if choice is None and (args.campaign is not None or args.resume is not None):
-        choice = True
-    return RunStore.coerce(choice)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    store = _sweep_store(args)
-    if args.resume is not None:
-        return _sweep_resume(args, store)
-    if args.app is None:
+    if args.app is None and args.resume is None:
         print("repro sweep: an app is required (or --resume CAMPAIGN)",
               file=sys.stderr)
         return 2
+    options = _sweep_options(args)
+    store = resolve_store(options.store, options.cache)
+    if args.resume is not None:
+        return _sweep_resume(args, store)
     protection = ProtectionLevel.parse(args.protection)
     runner = ParallelRunner(
         scale=args.scale,
         jobs=args.jobs,
-        cache=_cache_option(args),
         progress=_progress_printer() if args.progress else None,
         trace_dir=args.trace_dir,
         retries=args.retries,
         run_timeout=args.run_timeout,
         strict=not args.keep_going,
+        store=store,
     )
     app = runner.app(args.app)
     ladder = [_parse_mtbe(text) for text in args.mtbe]
@@ -297,7 +294,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for seed in range(args.seeds)
     ]
     campaign = None
-    if store is not None:
+    if options.store is not None:
+        # An explicitly chosen store records the sweep as a campaign.
         campaign = args.campaign or derive_campaign_id(specs, args.scale)
         store.begin_campaign(
             campaign,
@@ -305,16 +303,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             args.scale,
             app=args.app,
             metric=app.metric,
-            options=api._options_to_dict(_sweep_options(args)),
+            options=api._options_to_dict(options),
         )
         runner.attach_store(store, campaign=campaign)
         print(f"[sweep] campaign {campaign} in {store.path}", file=sys.stderr)
     try:
         records = runner.run_specs(specs)
     except KeyboardInterrupt:
-        # Completed points are already flushed to the result cache/store,
-        # so a re-run resumes from here; report what survived, exit 130.
-        print("\n[sweep] interrupted — completed runs are cached", file=sys.stderr)
+        # Completed points are already flushed to the store, so a re-run
+        # resumes from here; report what survived, exit 130.
+        print("\n[sweep] interrupted — completed runs are stored", file=sys.stderr)
         if runner.last_stats is not None:
             print(f"[sweep] {runner.last_stats.summary()}", file=sys.stderr)
         if campaign is not None:
@@ -369,7 +367,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     api.SweepPoint(spec=spec, record=record, failure=failures.get(i))
                     for i, (spec, record) in enumerate(zip(specs, records))
                 ],
-                options=_sweep_options(args),
+                options=options,
                 stats=stats,
             )
         try:
@@ -394,7 +392,9 @@ def _write_metrics(runner: ParallelRunner, path: str) -> int:
 
 
 def _sweep_options(args: argparse.Namespace) -> EngineOptions:
-    """The :class:`EngineOptions` a ``sweep`` command line spells."""
+    """The :class:`EngineOptions` a ``sweep`` command line spells
+    (``--campaign`` / ``--resume`` without ``--store`` imply the default
+    store)."""
     store = args.store
     if store is None and (args.campaign is not None or args.resume is not None):
         store = True
@@ -423,14 +423,14 @@ def _sweep_resume(args: argparse.Namespace, store: RunStore) -> int:
     runner = ParallelRunner(
         scale=status.scale,
         jobs=args.jobs,
-        cache=_cache_option(args),
         progress=_progress_printer() if args.progress else None,
         trace_dir=args.trace_dir,
         retries=args.retries,
         run_timeout=args.run_timeout,
         strict=not args.keep_going,
+        store=store,
+        campaign=args.resume,
     )
-    runner.attach_store(store, campaign=args.resume)
     try:
         # The full frozen grid goes back through the engine: completed
         # positions are store hits (zero re-execution), pending ones run.
@@ -789,16 +789,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache(args.dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached result(s) from {cache.root}")
-    else:
-        print(f"{len(cache)} cached result(s) under {cache.root}")
-    return 0
-
-
 def cmd_store(args: argparse.Namespace) -> int:
     store = RunStore(args.db)
     if args.action == "stats":
@@ -868,9 +858,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         return 0
     if args.action == "import":
         imported = store.import_cache(args.cache)
-        source = args.cache or (
-            store.fallback.root if store.fallback is not None else "?"
-        )
+        source = legacy_cache_root(args.cache)
         print(f"imported {imported} run(s) from {source} into {store.path}")
         return 0
     # export
@@ -911,7 +899,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="do not read/write the .repro_cache/ result cache",
+        help="without --store, do not read or write the default result "
+        "store (.repro_store.sqlite / REPRO_STORE)",
     )
 
 
@@ -1142,13 +1131,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top_parser.set_defaults(func=cmd_top)
 
-    cache_parser = sub.add_parser("cache", help="inspect/clear the result cache")
-    cache_parser.add_argument("action", choices=["info", "clear"])
-    cache_parser.add_argument(
-        "--dir", default=None, help="cache root (default: .repro_cache/)"
-    )
-    cache_parser.set_defaults(func=cmd_cache)
-
     paper_parser = sub.add_parser(
         "paper",
         help="run the whole paper reproduction and grade it vs the paper",
@@ -1217,7 +1199,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_parser.add_argument(
         "--cache", default=None, metavar="DIR",
-        help="import: legacy cache root (default: .repro_cache/)",
+        help="import: 2.x cache root (default: REPRO_CACHE_DIR or "
+        ".repro_cache/)",
     )
     store_parser.add_argument(
         "--trace-dir", action="append", default=None, metavar="DIR",

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
+from repro.experiments.store import resolve_store
 from repro.machine.protection import ProtectionLevel
 from repro.quality.metrics import QUALITY_CAP_DB
 from repro.experiments.registry import register_figure
@@ -62,7 +63,9 @@ def error_class_decomposition(
     cache=None,
 ) -> list[ClassAblationCell]:
     """Quality per (error class, protection level), unmasked errors only."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     cells_axes = [
         (class_name, level)
         for class_name in CLASS_MODELS
@@ -101,7 +104,9 @@ def masking_sensitivity(
     cache=None,
 ) -> dict[float, float]:
     """Mean CommGuard quality vs the masked fraction of injected errors."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     specs = [
         RunSpec(
             app=app_name,
@@ -131,7 +136,9 @@ def workset_size_overhead(
     cache=None,
 ) -> dict[int, float]:
     """ECC suboperations per committed instruction vs working-set size."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     specs = [
         RunSpec(
             app=app_name,
@@ -154,7 +161,9 @@ def main(
     jobs: int | None = None,
     cache=None,
 ) -> str:
-    runner = ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     sections = []
 
     cells = error_class_decomposition(n_seeds=n_seeds, runner=runner)
@@ -185,7 +194,9 @@ def main(
     )
 
     worksets = workset_size_overhead(
-        runner=ParallelRunner(scale=0.5, jobs=jobs, cache=cache)
+        runner=ParallelRunner(
+            scale=0.5, jobs=jobs, store=resolve_store(cache=cache)
+        )
     )
     sections.append(
         "Ablation: QM ECC suboperation ratio vs working-set size (error-free)\n"

@@ -33,7 +33,7 @@ from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
-from repro.experiments.store import RunStore, derive_campaign_id
+from repro.experiments.store import RunStore, derive_campaign_id, resolve_store
 from repro.machine.protection import ProtectionLevel
 from repro.quality.metrics import QUALITY_CAP_DB
 from repro.experiments.registry import register_figure
@@ -216,11 +216,13 @@ def compare_protections(
     arguments and its ``store`` makes every per-protection campaign
     resumable.
     """
+    store = None
     if options is not None:
         scale = options.scale if options.scale is not None else scale
-        jobs, cache = options.jobs, options.cache
-    store = options.store if options is not None else None
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+        jobs, cache, store = options.jobs, options.cache, options.store
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(store, cache)
+    )
     return {
         protection: run_campaign(
             app_name, protection, mtbe, n_runs=n_runs, runner=runner, store=store

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
+from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import seed_list
 from repro.machine.protection import ProtectionLevel
 from repro.quality.images import write_ppm
@@ -62,7 +63,9 @@ def run(
     jobs: int | None = None,
     cache=None,
 ) -> list[Fig3Row]:
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     if dump_dir is not None:
         return _run_with_dump(mtbe, n_seeds, dump_dir, runner)
     grid = [

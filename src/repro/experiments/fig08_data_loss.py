@@ -17,6 +17,7 @@ from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.plotting import loss_chart
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
+from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import MTBE_LADDER_LOSS, seed_list
 from repro.experiments.registry import register_figure
 
@@ -31,7 +32,9 @@ def run(
     cache=None,
 ) -> dict[str, dict[int, float]]:
     """Returns {app: {mtbe: mean loss ratio}}."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     seeds = seed_list(n_seeds)
     grid = [(app, mtbe) for app in apps for mtbe in ladder]
     records = runner.run_specs(

@@ -16,6 +16,7 @@ from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.plotting import quality_chart
 from repro.experiments.report import db_or_errorfree, format_table
 from repro.experiments.runner import SimulationRunner
+from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import seed_list
 from repro.quality.images import write_ppm
 from repro.experiments.registry import register_figure
@@ -34,7 +35,9 @@ def run(
     cache=None,
 ) -> dict[int, float]:
     """Returns {mtbe: mean PSNR (dB, capped at the error-free baseline)}."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     baseline = runner.app("jpeg").baseline_quality()
     if dump_dir is not None:
         return _run_with_dump(n_seeds, ladder, dump_dir, runner, baseline)
@@ -80,7 +83,9 @@ def main(
     jobs: int | None = None,
     cache=None,
 ) -> str:
-    runner = ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     results = run(n_seeds=n_seeds, dump_dir=dump_dir, runner=runner)
     baseline = runner.app("jpeg").baseline_quality()
     rows = [

@@ -17,6 +17,7 @@ from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.plotting import quality_chart
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
+from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import (
     FRAME_SCALES,
     MTBE_LADDER_QUALITY,
@@ -57,7 +58,9 @@ def run_app(
     fault_model: str = "bit_flip",
 ) -> list[QualityPoint]:
     """Quality per (frame scale, MTBE), one engine fan-out for the grid."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     seeds = seed_list(n_seeds)
     grid = [
         (frame_scale, mtbe) for frame_scale in frame_scales for mtbe in ladder
@@ -103,7 +106,9 @@ def run(
     jobs: int | None = None,
     cache=None,
 ) -> dict[str, list[QualityPoint]]:
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     return {
         "jpeg": run_app("jpeg", n_seeds=n_seeds, ladder=ladder, runner=runner),
         "mp3": run_app(
@@ -133,7 +138,9 @@ def _series_table(points: list[QualityPoint]) -> str:
 def main(
     scale: float = 1.0, n_seeds: int = 3, jobs: int | None = None, cache=None
 ) -> str:
-    runner = ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     results = run(n_seeds=n_seeds, runner=runner)
     jpeg_base = runner.app("jpeg").baseline_quality()
     mp3_base = runner.app("mp3").baseline_quality()

@@ -13,6 +13,7 @@ from repro.experiments.parallel import ParallelRunner
 from repro.experiments.plotting import quality_chart
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
+from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import FRAME_SCALES, MTBE_LADDER_QUALITY
 from repro.experiments.registry import register_figure
 
@@ -28,7 +29,9 @@ def run(
     jobs: int | None = None,
     cache=None,
 ) -> dict[str, list[QualityPoint]]:
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     results = {}
     for app in APPS:
         frame_scales = fir_frame_scales if app == "complex-fir" else (1,)

@@ -15,6 +15,7 @@ from repro.apps.registry import APP_ORDER
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner, geometric_mean
+from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import FRAME_SCALES
 from repro.machine.protection import ProtectionLevel
 from repro.experiments.registry import register_figure
@@ -29,7 +30,9 @@ def run(
     cache=None,
 ) -> dict[str, dict[int, float]]:
     """Returns {app: {frame_scale: overhead fraction}} + "GMean"."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     baseline_specs = [
         RunSpec(app=app, protection=ProtectionLevel.ERROR_FREE) for app in apps
     ]

@@ -13,6 +13,7 @@ from repro.apps.registry import APP_ORDER
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner, geometric_mean
+from repro.experiments.store import resolve_store
 from repro.machine.protection import ProtectionLevel
 from repro.experiments.registry import register_figure
 
@@ -27,7 +28,9 @@ def run(
     cache=None,
 ) -> dict[str, dict[str, float]]:
     """Returns {app: {series: ratio}} + "GMean"."""
-    runner = runner or ParallelRunner(scale=scale, jobs=jobs, cache=cache)
+    runner = runner or ParallelRunner(
+        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
+    )
     records = runner.run_specs(
         [
             RunSpec(app=app, protection=ProtectionLevel.COMMGUARD, mtbe=None)

@@ -21,8 +21,9 @@ class EngineOptions:
 
     ``scale`` shrinks app inputs (``None`` keeps each harness's default);
     ``jobs`` is the worker-process count (``None`` defers to ``REPRO_JOBS``
-    or the CPU count, ``1`` forces serial); ``cache`` toggles the on-disk
-    result cache; ``trace_dir`` ships one JSONL trace per executed run,
+    or the CPU count, ``1`` forces serial); ``cache`` lets a batch entry
+    point without a ``store`` persist to the default store (see below);
+    ``trace_dir`` ships one JSONL trace per executed run,
     while ``trace`` is the trace destination for a one-run entry point
     (:func:`repro.api.run`) — anything
     :func:`~repro.observability.coerce_tracer` understands: a JSONL
@@ -32,7 +33,7 @@ class EngineOptions:
     ``exec_mode`` selects the simulation execution mode: ``"fast"`` (the
     quiet-span bulk path, the default) or ``"precise"`` (the per-word
     oracle).  The two are bit-identical by contract — same records, same
-    cache keys, byte-identical traces — so this knob trades nothing but
+    content keys, byte-identical traces — so this knob trades nothing but
     wall-clock time.
 
     The fault-tolerance knobs mirror
@@ -44,14 +45,15 @@ class EngineOptions:
     structured :class:`~repro.experiments.parallel.FailureRecord`\\ s
     instead of raising on the first one (strict mode, the default).
 
-    ``store`` selects the :class:`~repro.experiments.store.RunStore` —
-    the SQLite system of record that supersedes the flat file cache: a
-    database path, ``True`` for the default location
-    (``.repro_store.sqlite`` / ``REPRO_STORE``), a ready
-    :class:`~repro.experiments.store.RunStore`, or ``None`` (default) to
-    stay on the flat cache.  With a store, lookups go store-first with
-    the legacy ``.repro_cache/`` as a read-through fallback, and sweeps
-    become resumable campaigns.
+    ``store`` selects the :class:`~repro.experiments.store.RunStore`,
+    the one place results persist: a database path, ``True`` for the
+    default location (``.repro_store.sqlite`` / ``REPRO_STORE``), a
+    ready :class:`~repro.experiments.store.RunStore`, or ``None``
+    (default).  A batch entry point picks its store by
+    :func:`~repro.experiments.store.resolve_store`: an explicit ``store``
+    wins (and makes a sweep a resumable campaign); otherwise
+    ``cache=True`` means the default store; otherwise nothing persists.
+    :func:`repro.api.run` reads ``store`` alone.
     """
 
     scale: float | None = None

@@ -57,7 +57,12 @@ from repro.experiments.parallel import ParallelRunner, RunSpec, SweepStats
 from repro.experiments.plotting import ascii_chart
 from repro.experiments.registry import figure_specs
 from repro.experiments.report import format_table
-from repro.experiments.store import RunStore, _git_describe, derive_campaign_id
+from repro.experiments.store import (
+    RunStore,
+    _git_describe,
+    derive_campaign_id,
+    resolve_store,
+)
 
 #: Version tag of the ``reproduction.json`` document.  Bump on
 #: incompatible shape changes; readers reject newer documents by name.
@@ -283,7 +288,8 @@ def run_paper(
 
     tier = resolve_tier(tier)
     opts = options or EngineOptions()
-    store = RunStore.coerce(opts.store if opts.store is not None else True)
+    # Always a store, whatever ``opts.cache`` says: it makes the run resumable.
+    store = resolve_store(opts.store, cache=True)
     targets = collect_targets()
     specs, needs = _dedup_specs(targets, tier)
     campaign = derive_campaign_id(specs, tier.app_scale)
@@ -298,14 +304,14 @@ def run_paper(
     runner = ParallelRunner(
         scale=tier.app_scale,
         jobs=opts.jobs,
-        cache=opts.cache,
         retries=opts.retries,
         run_timeout=opts.run_timeout,
         retry_backoff=opts.retry_backoff,
         strict=False,
         progress=progress,
+        store=store,
+        campaign=campaign,
     )
-    runner.attach_store(store, campaign=campaign)
     start = time.time()
     records = runner.run_specs(specs)
     wall = time.time() - start

@@ -7,8 +7,8 @@ parts) and packages each run's measurements into a flat
 The runner executes frozen :class:`~repro.experiments.parallel.RunSpec`
 descriptions (:meth:`run_spec` / :meth:`execute_spec` / :meth:`run_specs`),
 the unit of work of the parallel sweep engine, which overrides
-:meth:`run_specs` to fan specs out over worker processes and an on-disk
-result cache.  One-off runs go through :func:`repro.api.run`.
+:meth:`run_specs` to fan specs out over worker processes and the result
+store.  One-off runs go through :func:`repro.api.run`.
 """
 
 from __future__ import annotations

@@ -1,17 +1,15 @@
 """RunStore: the SQLite-backed system of record for sweep results.
 
-The flat ``.repro_cache/`` file cache memoizes completed runs, but it has
-no cross-process coordination, no query surface, and no notion of a
-*campaign* — a grid of specs that should survive crashes and resume where
-it stopped.  This module supersedes it with a single WAL-mode SQLite
+Every run that persists — a sweep, a figure harness, the paper pipeline,
+a stored :func:`repro.api.run` — goes through one WAL-mode SQLite
 database holding:
 
 ``runs``
-    One row per completed point, keyed by the *existing*
-    :func:`~repro.experiments.cache.spec_key` content hash (cache keys and
-    the bit-identity contracts are unchanged), storing the serialized
-    :class:`~repro.experiments.runner.RunRecord` plus provenance — engine
-    options, fault model, ``git describe``, wall time, writer pid.
+    One row per completed point, keyed by the
+    :func:`~repro.experiments.cache.spec_key` content hash, storing the
+    serialized :class:`~repro.experiments.runner.RunRecord` plus
+    provenance — engine options, fault model, ``git describe``, wall
+    time, writer pid.
 ``failures``
     Structured :class:`~repro.experiments.parallel.FailureRecord` rows
     from fault-tolerant sweeps (a later successful run supersedes them;
@@ -25,14 +23,11 @@ database holding:
 Concurrency: the database is opened in WAL mode with a generous busy
 timeout, connections are per-thread, and every write is a single
 transaction — many writer processes (or threads) can share one store
-without ``database is locked`` failures.  Reads fall back to a legacy
-:class:`~repro.experiments.cache.ResultCache` read-through (adopting hits
-into the store), and :meth:`RunStore.import_cache` migrates a whole
-pre-existing cache in one shot.
+without ``database is locked`` failures.
 
-The store is deliberately duck-compatible with :class:`ResultCache`
-(``load``/``store``/``__len__``/``clear``), so the parallel engine treats
-it as a drop-in — richer — cache backend.
+The flat ``.repro_cache/`` directory that 2.x releases wrote is never read
+on its own: :meth:`RunStore.import_cache` (``repro store import``)
+migrates one in a single pass.
 """
 
 from __future__ import annotations
@@ -40,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sqlite3
 import subprocess
 import threading
@@ -49,13 +45,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.experiments.cache import (
-    ResultCache,
     record_from_dict,
     record_to_dict,
     spec_from_dict,
     spec_key,
     spec_to_dict,
-    sweep_orphans,
 )
 from repro.experiments.runner import RunRecord
 
@@ -69,6 +63,15 @@ STORE_SCHEMA_VERSION = 1
 DEFAULT_STORE_PATH = ".repro_store.sqlite"
 
 ENV_STORE_PATH = "REPRO_STORE"
+
+#: Where a 2.x release kept its flat result cache (``<key[:2]>/<key>.json``
+#: files); :meth:`RunStore.import_cache` reads it from here by default.
+LEGACY_CACHE_DIR = ".repro_cache"
+
+ENV_LEGACY_CACHE_DIR = "REPRO_CACHE_DIR"
+
+#: The only trace file name the engine ships: ``<trace_dir>/<key>.jsonl``.
+_TRACE_NAME = re.compile(r"[0-9a-f]{64}\.jsonl")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -141,6 +144,25 @@ def _git_describe() -> str | None:
         except (OSError, subprocess.SubprocessError):
             _GIT_DESCRIBE = None
     return _GIT_DESCRIBE
+
+
+def _enable_wal(conn: sqlite3.Connection, timeout: float = 60.0) -> None:
+    """Switch *conn* to WAL mode.
+
+    The switch takes an exclusive lock, and while another connection is
+    opening the same fresh file SQLite refuses it with "database is
+    locked" at once, without waiting out the busy timeout.  So retry it
+    for up to *timeout* seconds.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.01)
 
 
 def derive_campaign_id(specs: Sequence["RunSpec"], scale: float) -> str:
@@ -217,13 +239,11 @@ class GcStats:
     """What one :meth:`RunStore.gc` pass collected."""
 
     superseded_failures: int
-    tmp_stragglers: int
     dangling_traces: int
 
     def summary(self) -> str:
         return (
             f"pruned {self.superseded_failures} superseded failure(s), "
-            f"{self.tmp_stragglers} .tmp straggler(s), "
             f"{self.dangling_traces} dangling trace(s)"
         )
 
@@ -236,10 +256,10 @@ class RunStore:
         ``REPRO_STORE`` environment variable).  Parent directories are
         created on demand.
     ``fallback``
-        Legacy :class:`ResultCache` consulted read-through when a key has
-        no row (default: the default ``.repro_cache/`` location).  Hits
-        are adopted into the store, so the legacy cache migrates itself
-        as it is read; ``False`` disables the fallback.
+        Accepted only as ``None``/``False``, so the 2.x spelling
+        ``RunStore(path, fallback=False)`` still constructs.  The store
+        has no legacy read-through any more: any other value raises
+        ``ValueError`` pointing at ``repro store import``.
 
     One instance may be shared across threads (connections are
     per-thread); across processes, point every writer at the same path —
@@ -249,17 +269,17 @@ class RunStore:
     def __init__(
         self,
         path: str | Path | None = None,
-        fallback: ResultCache | str | Path | bool | None = True,
+        fallback: bool | None = None,
     ) -> None:
+        if fallback is not None and fallback is not False:
+            raise ValueError(
+                f"RunStore(fallback={fallback!r}): the store no longer reads "
+                "a legacy result cache through; migrate it once with "
+                "`repro store import`"
+            )
         if path is None:
             path = os.environ.get(ENV_STORE_PATH) or DEFAULT_STORE_PATH
         self.path = Path(path)
-        self.fallback = ResultCache.coerce(fallback)
-        #: True when the fallback is the implicit default rather than a
-        #: caller choice — the engine may clear a defaulted fallback when
-        #: its own cache is explicitly disabled (see
-        #: :meth:`ParallelRunner.attach_store`).
-        self.fallback_defaulted = fallback is True
         #: Extra provenance merged into every stored row (engine options,
         #: campaign id, ...); set by the engine via :meth:`set_context`.
         self._context: dict = {}
@@ -270,10 +290,9 @@ class RunStore:
     def coerce(
         cls, store: "RunStore | str | Path | bool | None"
     ) -> "RunStore | None":
-        """Normalize a user-facing store option (mirrors
-        :meth:`ResultCache.coerce`): ``None``/``False`` means no store,
-        ``True`` the default path, a path selects a file, a ready
-        :class:`RunStore` passes through."""
+        """Normalize a user-facing store option: ``None``/``False`` means
+        no store, ``True`` the default path, a path selects a file, a
+        ready :class:`RunStore` passes through."""
         if store is None or store is False:
             return None
         if store is True:
@@ -289,7 +308,7 @@ class RunStore:
         if conn is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.path, timeout=60.0)
-            conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=60000")
             self._local.conn = conn
@@ -328,37 +347,20 @@ class RunStore:
         every subsequently stored row."""
         self._context.update(context)
 
-    # -- the ResultCache-compatible surface ------------------------------------
+    # -- records ---------------------------------------------------------------
 
     def load(self, key: str) -> RunRecord | None:
-        """The stored record for *key* — store row first, then the legacy
-        read-through fallback (adopting the hit into the store)."""
+        """The stored record for *key*, or ``None`` (a corrupt row is a
+        miss, so the engine re-executes and overwrites it)."""
         row = self._conn().execute(
             "SELECT record FROM runs WHERE key=?", (key,)
         ).fetchone()
-        if row is not None:
-            try:
-                return record_from_dict(json.loads(row[0]))
-            except (ValueError, KeyError, TypeError):
-                return None
-        return self._load_legacy(key)
-
-    def _load_legacy(self, key: str) -> RunRecord | None:
-        if self.fallback is None:
+        if row is None:
             return None
-        path = self.fallback.path(key)
         try:
-            with open(path) as handle:
-                payload = json.load(handle)
-            record = record_from_dict(payload["record"])
-            spec = spec_from_dict(payload["spec"])
-            scale = float(payload["scale"])
-        except (OSError, ValueError, KeyError, TypeError):
+            return record_from_dict(json.loads(row[0]))
+        except (ValueError, KeyError, TypeError):
             return None
-        self.store(
-            key, spec, scale, record, provenance={"imported_from": str(path)}
-        )
-        return record
 
     def store(
         self,
@@ -415,19 +417,10 @@ class RunStore:
             row[0] for row in self._conn().execute("SELECT key FROM runs")
         )
 
-    def get(self, key: str) -> RunRecord | None:
-        """Store-only lookup (no legacy fallback, no adoption)."""
-        row = self._conn().execute(
-            "SELECT record FROM runs WHERE key=?", (key,)
-        ).fetchone()
-        if row is None:
-            return None
-        return record_from_dict(json.loads(row[0]))
-
     def clear(self) -> int:
         """Drop every run row (failures and campaigns stay); returns the
-        number removed.  The ResultCache-compatible spelling of "start
-        fresh" — ``repro store gc`` is the incremental collector."""
+        number removed.  ``repro store gc`` is the incremental
+        collector."""
         conn = self._conn()
         with conn:
             removed = conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
@@ -723,35 +716,30 @@ class RunStore:
             pass
         return stats
 
-    def import_cache(self, cache: ResultCache | str | Path | None = None) -> int:
-        """One-shot migration: adopt every readable legacy cache entry.
+    def import_cache(self, root: str | Path | None = None) -> int:
+        """One-shot migration of a flat 2.x result cache into the store.
 
-        Entries already in the store are left untouched (their provenance
-        is preserved); returns how many rows were imported.
+        Reads the 2.x layout, one ``<root>/<key[:2]>/<key>.json`` file of
+        ``{"spec": ..., "scale": ..., "record": ...}`` per run, from
+        :func:`legacy_cache_root`.  Keys already in the store are left
+        untouched (their provenance is preserved) and unreadable files
+        are skipped; returns how many rows were imported.
         """
-        cache = (
-            self.fallback
-            if cache is None
-            else (cache if isinstance(cache, ResultCache) else ResultCache(cache))
-        )
-        if cache is None:
-            return 0
         imported = 0
-        for key, payload in cache.entries():
+        for path in sorted(legacy_cache_root(root).glob("*/*.json")):
+            key = path.stem
             if key in self:
                 continue
             try:
+                payload = json.loads(path.read_text())
                 spec = spec_from_dict(payload["spec"])
                 record = record_from_dict(payload["record"])
                 scale = float(payload["scale"])
-            except (ValueError, KeyError, TypeError):
+            except (OSError, ValueError, KeyError, TypeError):
                 continue
             self.store(
-                key,
-                spec,
-                scale,
-                record,
-                provenance={"imported_from": str(cache.path(key))},
+                key, spec, scale, record,
+                provenance={"imported_from": str(path)},
             )
             imported += 1
         return imported
@@ -780,32 +768,53 @@ class RunStore:
 
     def gc(self, trace_dirs: Iterable[str | Path] = ()) -> GcStats:
         """Collect debris: failure rows superseded by a later successful
-        run, ``*.tmp`` write stragglers in the legacy cache root, and —
-        in the given trace directories — ``<key>.jsonl`` traces whose key
-        the store no longer knows.  File sweeping goes through the same
-        :func:`~repro.experiments.cache.sweep_orphans` path as
-        :meth:`ResultCache.clear`, then the database is vacuumed.
+        run and, in the given trace directories, traces whose key the
+        store no longer holds; then vacuum the database.
+
+        Only the name the engine ships is a trace: a top-level
+        ``<key>.jsonl`` whose stem is a 64-hex content key.  Every other
+        file or directory in a trace directory is left alone.
         """
         conn = self._conn()
         with conn:
             superseded = conn.execute(
                 "DELETE FROM failures WHERE key IN (SELECT key FROM runs)"
             ).rowcount
-        tmp = traces = 0
-        if self.fallback is not None:
-            swept_tmp, _ = sweep_orphans(self.fallback.root)
-            tmp += swept_tmp
         live = self.keys()
+        traces = 0
         for directory in trace_dirs:
-            swept_tmp, swept_traces = sweep_orphans(directory, live_keys=live)
-            tmp += swept_tmp
-            traces += swept_traces
+            for trace in Path(directory).glob("*.jsonl"):
+                if not _TRACE_NAME.fullmatch(trace.name) or trace.stem in live:
+                    continue
+                try:
+                    trace.unlink()
+                    traces += 1
+                except OSError:
+                    pass
         conn.execute("VACUUM")
-        return GcStats(
-            superseded_failures=superseded,
-            tmp_stragglers=tmp,
-            dangling_traces=traces,
-        )
+        return GcStats(superseded_failures=superseded, dangling_traces=traces)
+
+
+def legacy_cache_root(root: str | Path | None = None) -> Path:
+    """The flat 2.x cache directory :meth:`RunStore.import_cache` reads:
+    *root* when given, else ``REPRO_CACHE_DIR``, else ``.repro_cache/``."""
+    if root is None:
+        root = os.environ.get(ENV_LEGACY_CACHE_DIR) or LEGACY_CACHE_DIR
+    return Path(root)
+
+
+def resolve_store(store=None, cache: bool | None = False) -> RunStore | None:
+    """The store a batch entry point persists to.
+
+    The one rule behind every sweep, figure harness and CLI command: an
+    explicit *store* wins (any :meth:`RunStore.coerce` spelling, so
+    ``False`` means none); otherwise ``cache=True`` selects the default
+    store (``REPRO_STORE`` / ``.repro_store.sqlite``); otherwise there is
+    no store.
+    """
+    if store is not None:
+        return RunStore.coerce(store)
+    return RunStore() if cache else None
 
 
 __all__ = [
@@ -818,5 +827,6 @@ __all__ = [
     "StoreStats",
     "StoredRun",
     "derive_campaign_id",
+    "resolve_store",
     "spec_key",
 ]

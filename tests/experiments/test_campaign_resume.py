@@ -19,6 +19,7 @@ import pytest
 from repro.api import SweepReport
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.store import RunStore, derive_campaign_id
+from tests.experiments._legacy_cache import write_cache
 
 SCALE = 0.05
 SRC = Path(__file__).parent.parent.parent / "src"
@@ -198,10 +199,12 @@ class TestSigkillResume:
         )
 
     def test_store_import_makes_legacy_cache_visible(self, tmp_path):
-        # A pre-existing flat cache from a store-less sweep...
-        self._repro(tmp_path, "sweep", "fft", "--mtbe", "64k", "--seeds",
-                    "3", "--scale", str(SCALE))
-        assert (tmp_path / ".repro_cache").is_dir()
+        # A flat cache left by a 2.x store-less sweep...
+        write_cache(
+            tmp_path / ".repro_cache",
+            [RunSpec(app="fft", mtbe=64_000.0, seed=seed) for seed in range(3)],
+            SCALE,
+        )
         # ...is migrated wholesale by `repro store import`...
         result = self._repro(tmp_path, "store", "import", "--db", "db.sqlite")
         assert "imported 3 run(s)" in result.stdout

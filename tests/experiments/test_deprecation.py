@@ -1,5 +1,5 @@
-"""The 1.x spellings removed in 2.0 fail loudly; their replacements run
-without warnings."""
+"""The 1.x spellings removed in 2.0 and the 2.x ones removed in 3.0 fail
+loudly; their replacements run without warnings."""
 
 import importlib
 import warnings
@@ -7,9 +7,11 @@ import warnings
 import pytest
 
 from repro import api
+from repro.cli import main
 from repro.experiments.options import EngineOptions
-from repro.experiments.parallel import RunSpec
+from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.runner import SimulationRunner
+from repro.experiments.store import RunStore
 from repro.machine.system import SystemConfig
 
 SCALE = 0.05
@@ -42,6 +44,38 @@ class TestShims:
     def test_system_config_rejects_loop_knobs(self, name):
         with pytest.raises(TypeError, match=name):
             SystemConfig(**{name: None})
+
+
+class TestRemovedIn30:
+    """The flat result cache is gone: RunStore is the only persistence."""
+
+    def test_result_cache_import_fails(self):
+        with pytest.raises(ImportError):
+            from repro.experiments.cache import ResultCache  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.experiments import ResultCache  # noqa: F401,F811
+
+    def test_parallel_runner_rejects_cache(self, tmp_path):
+        with pytest.raises(TypeError, match="cache"):
+            ParallelRunner(cache=tmp_path / "cache")
+
+    @pytest.mark.parametrize("fallback", [True, ".repro_cache"])
+    def test_store_rejects_legacy_fallback(self, tmp_path, fallback):
+        with pytest.raises(ValueError, match="repro store import"):
+            RunStore(tmp_path / "store.sqlite", fallback=fallback)
+
+    def test_store_get_is_gone(self):
+        assert not hasattr(RunStore, "get")  # RunStore.load is the lookup
+
+    @pytest.mark.parametrize("fallback", [False, None])
+    def test_store_accepts_disabled_fallback(self, tmp_path, fallback):
+        assert len(RunStore(tmp_path / "store.sqlite", fallback=fallback)) == 0
+
+    def test_cache_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "info"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestApiRunAliases:

@@ -3,17 +3,14 @@
 Exercises the robustness layer of :class:`ParallelRunner` against the
 deterministic fault hooks in :mod:`tests.experiments._fault_hooks`:
 bounded retries, per-run timeouts, worker-crash isolation, strict vs
-keep-going failure semantics, interruption, and cache integrity under
-simulated partial writes.  The core invariant throughout: a sweep that
+keep-going failure semantics, and interruption with every completed
+run already in the store.  The core invariant throughout: a sweep that
 survives its faults returns records bit-identical to a fault-free serial
 sweep.
 """
 
-import os
-
 import pytest
 
-from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     FailureRecord,
     ParallelRunner,
@@ -23,6 +20,7 @@ from repro.experiments.parallel import (
     SweepStats,
     resolve_jobs,
 )
+from repro.experiments.store import RunStore
 from repro.observability import InMemoryTracer
 from tests.experiments import _fault_hooks as hooks
 
@@ -61,17 +59,17 @@ class TestRetryOnException:
         self, clean_records, tmp_path
     ):
         # Retry plumbing must be invisible when nothing fails: same
-        # records, same cache keys, at any retry budget.
-        roots = []
+        # records, same content keys, at any retry budget.
+        stores = []
         for retries in (0, 3):
-            root = tmp_path / f"retries{retries}"
+            store = RunStore(tmp_path / f"retries{retries}.sqlite")
             runner = ParallelRunner(
-                scale=SCALE, jobs=2, retries=retries, cache=ResultCache(root)
+                scale=SCALE, jobs=2, retries=retries, store=store
             )
             assert runner.run_specs(specs_grid()) == clean_records
             assert runner.last_stats.retried == 0
-            roots.append({p.name for p in root.glob("*/*.json")})
-        assert roots[0] == roots[1]
+            stores.append(store.keys())
+        assert stores[0] == stores[1]
 
     def test_backoff_is_deterministic_and_bounded(self):
         runner = ParallelRunner(
@@ -264,14 +262,14 @@ class TestFailureSemantics:
 
 class TestInterruption:
     def test_keyboard_interrupt_flushes_completed_records(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        store = RunStore(tmp_path / "store.sqlite")
 
         def interrupt_after_two(stats):
             if stats.completed == 2:
                 raise KeyboardInterrupt
 
         runner = ParallelRunner(
-            scale=SCALE, jobs=1, cache=cache, progress=interrupt_after_two
+            scale=SCALE, jobs=1, store=store, progress=interrupt_after_two
         )
         with pytest.raises(KeyboardInterrupt):
             runner.run_specs(specs_grid())
@@ -279,10 +277,10 @@ class TestInterruption:
         assert runner.last_stats.completed == 2
         assert runner.last_stats.wall_seconds > 0
         assert "[interrupted]" in runner.last_stats.summary()
-        assert len(cache) == 2
+        assert len(store) == 2
 
-        # Resuming with the same cache skips the flushed points.
-        resumed = ParallelRunner(scale=SCALE, jobs=1, cache=cache)
+        # Resuming with the same store skips the flushed points.
+        resumed = ParallelRunner(scale=SCALE, jobs=1, store=store)
         resumed.run_specs(specs_grid())
         assert resumed.last_stats.cache_hits == 2
         assert resumed.last_stats.executed == 1
@@ -314,35 +312,6 @@ class TestJobsEnvErrors:
         monkeypatch.setenv("REPRO_JOBS", "4.5")
         with pytest.raises(ValueError, match="unset it to use"):
             resolve_jobs(None)
-
-
-class TestCacheIntegrity:
-    def test_failed_replace_leaves_no_tmp_straggler(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path / "cache")
-        runner = ParallelRunner(scale=SCALE, jobs=1)
-        (record,) = runner.run_specs(specs_grid(n_seeds=1))
-        spec = specs_grid(n_seeds=1)[0]
-        key = spec.content_key(SCALE)
-
-        def broken_replace(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os, "replace", broken_replace)
-        cache.store(key, spec, SCALE, record)  # best-effort: swallows OSError
-        monkeypatch.undo()
-        assert list(cache.root.glob("*/*.tmp")) == []
-        assert cache.load(key) is None  # nothing partial became visible
-
-        cache.store(key, spec, SCALE, record)
-        assert cache.load(key) == record
-
-    def test_clear_sweeps_tmp_stragglers(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        shard = cache.root / "ab"
-        shard.mkdir(parents=True)
-        (shard / "abandoned.tmp").write_text("{")
-        assert cache.clear() == 0
-        assert not shard.exists()
 
 
 class TestSweepProgressContract:

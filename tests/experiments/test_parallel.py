@@ -1,13 +1,14 @@
-"""Tests for the parallel sweep engine: specs, cache, determinism, stats."""
+"""Tests for the parallel sweep engine: specs, store hits, determinism,
+stats."""
 
 import dataclasses
 import json
+import sqlite3
 
 import pytest
 
 from repro.experiments.cache import (
     CACHE_VERSION,
-    ResultCache,
     record_from_dict,
     record_to_dict,
     spec_key,
@@ -19,6 +20,7 @@ from repro.experiments.parallel import (
     resolve_jobs,
 )
 from repro.experiments.runner import SimulationRunner
+from repro.experiments.store import RunStore, resolve_store
 from repro.machine.protection import ProtectionLevel
 
 SCALE = 0.05
@@ -119,6 +121,8 @@ class TestDeterminism:
 
 
 class TestCache:
+    """Completed points persist in the store and are not re-run."""
+
     def test_record_round_trip(self, tmp_path):
         record = SimulationRunner(scale=SCALE).execute_spec(
             RunSpec(app="fft", mtbe=100_000)
@@ -127,54 +131,62 @@ class TestCache:
 
     def test_second_sweep_hits_cache(self, tmp_path):
         specs = specs_grid()
-        first = ParallelRunner(scale=SCALE, jobs=1, cache=tmp_path / "c")
+        db = tmp_path / "c.sqlite"
+        first = ParallelRunner(scale=SCALE, jobs=1, store=db)
         records = first.run_specs(specs)
         assert first.last_stats.executed == len(specs)
         assert first.last_stats.cache_hits == 0
 
-        second = ParallelRunner(scale=SCALE, jobs=1, cache=tmp_path / "c")
+        second = ParallelRunner(scale=SCALE, jobs=1, store=db)
         cached = second.run_specs(specs)
         assert second.last_stats.executed == 0
         assert second.last_stats.cache_hits == len(specs)
         assert cached == records
 
     def test_partial_hits_resume_interrupted_sweeps(self, tmp_path):
-        cache = tmp_path / "c"
+        db = tmp_path / "c.sqlite"
         head = specs_grid(n_seeds=1)
-        ParallelRunner(scale=SCALE, jobs=1, cache=cache).run_specs(head)
+        ParallelRunner(scale=SCALE, jobs=1, store=db).run_specs(head)
         full = specs_grid(n_seeds=2)
-        runner = ParallelRunner(scale=SCALE, jobs=2, cache=cache)
+        runner = ParallelRunner(scale=SCALE, jobs=2, store=db)
         runner.run_specs(full)
         assert runner.last_stats.cache_hits == len(head)
         assert runner.last_stats.executed == len(full) - len(head)
 
     def test_spec_change_invalidates(self, tmp_path):
-        cache = tmp_path / "c"
+        db = tmp_path / "c.sqlite"
         spec = RunSpec(app="fft", mtbe=100_000, seed=0)
-        ParallelRunner(scale=SCALE, jobs=1, cache=cache).run_specs([spec])
-        runner = ParallelRunner(scale=SCALE, jobs=1, cache=cache)
+        ParallelRunner(scale=SCALE, jobs=1, store=db).run_specs([spec])
+        runner = ParallelRunner(scale=SCALE, jobs=1, store=db)
         runner.run_specs([dataclasses.replace(spec, seed=1)])
         assert runner.last_stats.cache_hits == 0
 
     def test_scale_change_invalidates(self, tmp_path):
-        cache = tmp_path / "c"
+        db = tmp_path / "c.sqlite"
         spec = RunSpec(app="fft", mtbe=100_000, seed=0)
-        ParallelRunner(scale=SCALE, jobs=1, cache=cache).run_specs([spec])
-        other = ParallelRunner(scale=0.1, jobs=1, cache=cache)
+        ParallelRunner(scale=SCALE, jobs=1, store=db).run_specs([spec])
+        other = ParallelRunner(scale=0.1, jobs=1, store=db)
         other.run_specs([spec])
         assert other.last_stats.cache_hits == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache_root = tmp_path / "c"
+        db = tmp_path / "c.sqlite"
         spec = RunSpec(app="fft", mtbe=100_000, seed=0)
-        runner = ParallelRunner(scale=SCALE, jobs=1, cache=cache_root)
+        runner = ParallelRunner(scale=SCALE, jobs=1, store=db)
         records = runner.run_specs([spec])
-        path = ResultCache(cache_root).path(spec.content_key(SCALE))
-        path.write_text("{not json")
-        again = ParallelRunner(scale=SCALE, jobs=1, cache=cache_root)
+        conn = sqlite3.connect(db)
+        with conn:
+            conn.execute(
+                "UPDATE runs SET record='{not json' WHERE key=?",
+                (spec.content_key(SCALE),),
+            )
+        conn.close()
+        again = ParallelRunner(scale=SCALE, jobs=1, store=db)
         assert again.run_specs([spec]) == records
         assert again.last_stats.cache_hits == 0
         assert again.last_stats.executed == 1
+        # The re-executed record overwrote the corrupt row.
+        assert RunStore(db).load(spec.content_key(SCALE)) == records[0]
 
     def test_version_tag_in_key(self):
         spec = RunSpec(app="fft", mtbe=100_000)
@@ -183,36 +195,55 @@ class TestCache:
         assert len(key) == 64  # sha256 hex
 
     def test_clear_and_len(self, tmp_path):
-        cache_root = tmp_path / "c"
-        ParallelRunner(scale=SCALE, jobs=1, cache=cache_root).run_specs(
+        db = tmp_path / "c.sqlite"
+        ParallelRunner(scale=SCALE, jobs=1, store=db).run_specs(
             specs_grid(n_seeds=1)
         )
-        cache = ResultCache(cache_root)
-        assert len(cache) == 2
-        assert cache.clear() == 2
-        assert len(cache) == 0
+        store = RunStore(db)
+        assert len(store) == 2
+        assert store.clear() == 2
+        assert len(store) == 0
 
     def test_env_var_selects_root(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-        assert ResultCache().root == tmp_path / "envcache"
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.sqlite"))
+        assert RunStore().path == tmp_path / "env.sqlite"
+        assert resolve_store(cache=True).path == tmp_path / "env.sqlite"
 
-    def test_coerce_forms(self, tmp_path):
-        assert ResultCache.coerce(None) is None
-        assert ResultCache.coerce(False) is None
-        assert ResultCache.coerce(True) is not None
-        cache = ResultCache(tmp_path)
-        assert ResultCache.coerce(cache) is cache
-        assert ResultCache.coerce(tmp_path / "x").root == tmp_path / "x"
+    def test_coerce_forms(self, tmp_path, monkeypatch):
+        """The one rule picking a batch entry point's store: an explicit
+        store wins, else ``cache=True`` means the default store, else
+        none."""
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "default.sqlite"))
+        explicit = RunStore(tmp_path / "explicit.sqlite")
+        assert resolve_store(explicit, cache=False) is explicit
+        assert resolve_store(explicit, cache=True) is explicit
+        chosen = resolve_store(tmp_path / "chosen.sqlite", cache=True)
+        assert chosen.path == tmp_path / "chosen.sqlite"
+        assert resolve_store(None, cache=True).path == tmp_path / "default.sqlite"
+        assert resolve_store(None, cache=False) is None
+        assert resolve_store(False, cache=True) is None
 
     def test_stored_payload_is_inspectable_json(self, tmp_path):
-        cache_root = tmp_path / "c"
+        db = tmp_path / "c.sqlite"
         spec = RunSpec(app="fft", mtbe=100_000, seed=0)
-        ParallelRunner(scale=SCALE, jobs=1, cache=cache_root).run_specs([spec])
-        path = ResultCache(cache_root).path(spec.content_key(SCALE))
-        payload = json.loads(path.read_text())
-        assert payload["spec"]["app"] == "fft"
-        assert payload["scale"] == SCALE
-        assert payload["record"]["protection"] == "commguard"
+        ParallelRunner(scale=SCALE, jobs=1, store=db).run_specs([spec])
+        conn = sqlite3.connect(db)
+        row = conn.execute(
+            "SELECT spec, scale, record FROM runs WHERE key=?",
+            (spec.content_key(SCALE),),
+        ).fetchone()
+        conn.close()
+        assert json.loads(row[0])["app"] == "fft"
+        assert float(row[1]) == SCALE
+        assert json.loads(row[2])["protection"] == "commguard"
+
+    def test_no_store_persists_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        runner = ParallelRunner(scale=SCALE, jobs=1)
+        runner.run_specs(specs_grid(n_seeds=1))
+        runner.run_specs(specs_grid(n_seeds=1))
+        assert runner.last_stats.cache_hits == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStats:

@@ -6,10 +6,10 @@ import threading
 
 import pytest
 
-from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import FailureRecord, ParallelRunner, RunSpec
 from repro.experiments.runner import SimulationRunner
 from repro.experiments.store import RunStore, derive_campaign_id
+from tests.experiments._legacy_cache import entry_path, write_entry
 
 SCALE = 0.05
 
@@ -38,10 +38,9 @@ class TestStoreBasics:
     def test_roundtrip(self, store, executed):
         spec, record = executed
         key = spec.content_key(SCALE)
-        assert store.get(key) is None
+        assert store.load(key) is None
         assert key not in store
         store.store(key, spec, SCALE, record)
-        assert store.get(key) == record
         assert store.load(key) == record
         assert key in store
         assert len(store) == 1
@@ -94,29 +93,26 @@ class TestStoreBasics:
 
 
 class TestLegacyFallback:
-    def test_read_through_adopts_legacy_entry(self, tmp_path, executed):
-        spec, record = executed
-        key = spec.content_key(SCALE)
-        cache = ResultCache(tmp_path / "cache")
-        cache.store(key, spec, SCALE, record)
-        store = RunStore(tmp_path / "store.sqlite", fallback=cache)
-        assert store.get(key) is None  # store-only: not there yet
-        assert store.load(key) == record  # read-through hit...
-        assert store.get(key) == record  # ...adopted into the store
-        row = store.query()[0]
-        assert "imported_from" in row.provenance
+    """The store never reads a 2.x flat cache on its own; ``import_cache``
+    migrates one in a single pass."""
 
-    def test_import_cache_migrates_once(self, tmp_path, runner):
-        cache = ResultCache(tmp_path / "cache")
+    def test_import_cache_migrates_once(self, tmp_path, runner, monkeypatch):
+        root = tmp_path / "cache"
         for seed in range(3):
             spec = make_spec(seed)
-            cache.store(
-                spec.content_key(SCALE), spec, SCALE, runner.execute_spec(spec)
-            )
-        store = RunStore(tmp_path / "store.sqlite", fallback=cache)
-        assert store.import_cache() == 3
+            write_entry(root, spec, SCALE, runner.execute_spec(spec))
+        corrupt = entry_path(root, "e" * 64)
+        corrupt.parent.mkdir(parents=True)
+        corrupt.write_text("{not json")
+        store = RunStore(tmp_path / "store.sqlite")
+        spec = make_spec(0)
+        assert store.load(spec.content_key(SCALE)) is None  # no read-through
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))  # the default root
+        assert store.import_cache() == 3  # the corrupt file is skipped
         assert len(store) == 3
-        assert store.import_cache() == 0  # existing rows are skipped
+        assert store.load(spec.content_key(SCALE)) == runner.execute_spec(spec)
+        assert all("imported_from" in row.provenance for row in store.query())
+        assert store.import_cache(root) == 0  # existing rows are skipped
 
     def test_export_jsonl(self, tmp_path, store, executed):
         import io
@@ -162,22 +158,40 @@ class TestFailures:
         assert collected.superseded_failures == 1
         assert store.failure_for(key) is None
 
-    def test_gc_sweeps_orphans_in_fallback_and_traces(self, tmp_path, executed):
+    def test_gc_sweeps_orphans_in_fallback_and_traces(
+        self, store, tmp_path, executed
+    ):
+        """Dangling ``<key>.jsonl`` traces go; a live key's trace stays.
+        (The store no longer has a fallback cache root to sweep.)"""
         spec, record = executed
-        cache = ResultCache(tmp_path / "cache")
-        store = RunStore(tmp_path / "store.sqlite", fallback=cache)
         store.store(spec.content_key(SCALE), spec, SCALE, record)
-        straggler = tmp_path / "cache" / "ab"
-        straggler.mkdir(parents=True)
-        (straggler / "deadbeef.json.tmp").write_text("{}")
         traces = tmp_path / "traces"
         traces.mkdir()
         (traces / f"{spec.content_key(SCALE)}.jsonl").write_text("{}\n")
         (traces / ("f" * 64 + ".jsonl")).write_text("{}\n")
         collected = store.gc(trace_dirs=[traces])
-        assert collected.tmp_stragglers == 1
         assert collected.dangling_traces == 1  # the live key's trace stays
         assert (traces / f"{spec.content_key(SCALE)}.jsonl").exists()
+        assert not (traces / ("f" * 64 + ".jsonl")).exists()
+
+    def test_gc_leaves_user_files_in_trace_dirs(self, store, tmp_path):
+        """Only top-level ``<64-hex key>.jsonl`` files are engine traces;
+        anything else a trace directory holds belongs to the user."""
+        traces = tmp_path / "traces"
+        (traces / "sub").mkdir(parents=True)
+        (traces / "empty").mkdir()
+        user_files = [
+            traces / "my-experiment.jsonl",
+            traces / "sub" / "notes.jsonl",
+            traces / "sub" / ("a" * 64 + ".jsonl"),
+            traces / ("b" * 63 + ".jsonl"),
+            traces / "scratch.tmp",
+        ]
+        for path in user_files:
+            path.write_text("{}\n")
+        assert store.gc(trace_dirs=[traces]).dangling_traces == 0
+        assert all(path.exists() for path in user_files)
+        assert (traces / "empty").is_dir()
 
 
 class TestCampaigns:
@@ -297,30 +311,14 @@ class TestEngineIntegration:
         assert second.last_stats.cache_hits == 3
         assert again == records
 
-    def test_attach_store_keeps_cache_as_fallback(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        engine = ParallelRunner(scale=SCALE, jobs=1, cache=cache)
-        store = RunStore(tmp_path / "store.sqlite", fallback=False)
-        engine.attach_store(store)
-        assert engine.cache is store
-        assert store.fallback is cache
-
-    def test_attach_without_cache_clears_defaulted_fallback(
-        self, tmp_path, monkeypatch
-    ):
-        """``--no-cache --store``: the store's implicit ``.repro_cache/``
-        read-through must not resurrect the cache the user disabled."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "legacy"))
-        store = RunStore(tmp_path / "store.sqlite")  # defaulted fallback
-        assert store.fallback is not None
-        ParallelRunner(scale=SCALE, jobs=1, cache=None, store=store)
-        assert store.fallback is None
-
-    def test_attach_without_cache_keeps_explicit_fallback(self, tmp_path):
-        cache = ResultCache(tmp_path / "chosen")
-        store = RunStore(tmp_path / "store.sqlite", fallback=cache)
-        ParallelRunner(scale=SCALE, jobs=1, cache=None, store=store)
-        assert store.fallback is cache
+    def test_attach_store_sets_store_and_campaign(self, store):
+        engine = ParallelRunner(scale=SCALE, jobs=1)
+        assert engine.store is None
+        engine.attach_store(store, campaign="c-attached")
+        assert engine.store is store
+        assert engine.campaign == "c-attached"
+        engine.run_specs([make_spec(0)])
+        assert store.campaign("c-attached").done == frozenset({0})
 
     def test_wall_seconds_provenance_is_per_run(self, tmp_path):
         """Each row's wall_seconds is that run's own elapsed time, not
@@ -347,7 +345,7 @@ class TestEngineIntegration:
         options = EngineOptions(scale=SCALE, store=store)
         baseline = run("fft", mtbe=100_000.0, seed=0, options=options)
         key = baseline.spec.content_key(SCALE)
-        assert store.get(key) == baseline.record
+        assert store.load(key) == baseline.record
         assert len(store) == 1
         overridden = run(
             "fft", mtbe=100_000.0, seed=0,
@@ -358,7 +356,7 @@ class TestEngineIntegration:
         # and the baseline row was not overwritten or duplicated.
         assert overridden.result is not None
         assert len(store) == 1
-        assert store.get(key) == baseline.record
+        assert store.load(key) == baseline.record
 
 
 class TestConcurrentWriters:
@@ -379,6 +377,29 @@ class TestConcurrentWriters:
         return {
             row.key: (row.spec, row.record) for row in store.query()
         }
+
+    def test_concurrent_fresh_opens_succeed(self, tmp_path):
+        """Opening one fresh database from several threads at once must
+        not fail with ``database is locked``: the WAL switch is retried
+        instead of refused."""
+        errors: list = []
+        for attempt in range(20):
+            path = tmp_path / f"fresh{attempt}.sqlite"
+            barrier = threading.Barrier(4)
+
+            def open_store():
+                try:
+                    barrier.wait()
+                    RunStore(path).close()
+                except Exception as exc:  # pragma: no cover - failure reporting
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=open_store) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert errors == []
 
     @pytest.mark.parametrize("overlap", [True, False], ids=["overlapping", "disjoint"])
     def test_concurrent_runners_match_serial(self, tmp_path, overlap):

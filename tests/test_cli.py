@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import FIGURES, _parse_mtbe, build_parser, main
+from repro.experiments.parallel import RunSpec
+from repro.experiments.store import RunStore
 
 
 class TestMtbeParsing:
@@ -132,23 +134,33 @@ class TestCommands:
         assert "[sweep]" in out  # engine stats line
 
     def test_sweep_populates_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        """Without ``--store`` a sweep persists to the default store."""
+        db = tmp_path / "default.sqlite"
+        monkeypatch.setenv("REPRO_STORE", str(db))
         argv = ["sweep", "fft", "--mtbe", "100k", "--seeds", "1",
                 "--scale", "0.05", "--jobs", "1"]
         assert main(argv) == 0
         first = capsys.readouterr().out
+        assert len(RunStore(db)) == 1
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert "(1 cached)" in second
         # cached rerun prints the identical table
         assert first.splitlines()[:3] == second.splitlines()[:3]
 
-    def test_cache_info_and_clear(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["cache", "info", "--dir", cache_dir]) == 0
-        assert "0 cached" in capsys.readouterr().out
-        assert main(["cache", "clear", "--dir", cache_dir]) == 0
-        assert "removed 0" in capsys.readouterr().out
+    def test_sweep_no_cache_persists_nothing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert main(
+            ["sweep", "fft", "--mtbe", "100k", "--seeds", "1",
+             "--scale", "0.05", "--jobs", "1", "--no-cache"]
+        ) == 0
+        assert "(0 cached)" in capsys.readouterr().out
+        assert not (tmp_path / ".repro_store.sqlite").exists()
+        assert not (tmp_path / ".repro_cache").exists()
 
     def test_figure_accepts_engine_options(self):
         args = build_parser().parse_args(["figure", "fig10", "--jobs", "4"])
@@ -299,6 +311,20 @@ class TestStoreCommand:
         assert main(["store", "gc", "--db", populated_db]) == 0
         assert "[store]" in capsys.readouterr().out
 
+    def test_gc_trace_dir_keeps_user_files(self, capsys, populated_db, tmp_path):
+        traces = tmp_path / "traces"
+        (traces / "sub").mkdir(parents=True)
+        (traces / "empty").mkdir()
+        (traces / "my-experiment.jsonl").write_text("{}\n")
+        (traces / "sub" / "notes.jsonl").write_text("{}\n")
+        assert main(
+            ["store", "gc", "--db", populated_db, "--trace-dir", str(traces)]
+        ) == 0
+        assert "0 dangling trace(s)" in capsys.readouterr().out
+        assert (traces / "my-experiment.jsonl").exists()
+        assert (traces / "sub" / "notes.jsonl").exists()
+        assert (traces / "empty").is_dir()
+
     def test_export_writes_jsonl(self, capsys, populated_db, tmp_path):
         import json
 
@@ -312,15 +338,17 @@ class TestStoreCommand:
         assert len(lines) == 2
         assert all(line["spec"]["app"] == "fft" for line in lines)
 
-    def test_import_migrates_legacy_cache(
-        self, capsys, tmp_path, monkeypatch
-    ):
+    def test_import_migrates_legacy_cache(self, capsys, tmp_path):
+        from tests.experiments._legacy_cache import write_cache
+
         cache_dir = str(tmp_path / "cache")
-        monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
+        write_cache(
+            cache_dir,
+            [RunSpec(app="fft", mtbe=100_000.0, seed=seed) for seed in range(2)],
+            0.05,
+        )
         argv = ["sweep", "fft", "--mtbe", "100k", "--seeds", "2",
                 "--scale", "0.05", "--jobs", "1"]
-        assert main(argv) == 0
-        capsys.readouterr()
         db = str(tmp_path / "db.sqlite")
         assert main(
             ["store", "import", "--db", db, "--cache", cache_dir]
