@@ -1,9 +1,9 @@
-"""Shared fixtures for the per-figure benchmark harnesses.
+"""Shared fixture for the performance benchmarks.
 
-Each benchmark regenerates one table/figure of the paper at a reduced scale
-(so the whole suite finishes in minutes) and prints the same rows/series
-the paper reports.  EXPERIMENTS.md records full-scale paper-vs-measured
-numbers.  Run with ``pytest benchmarks/ --benchmark-only``.
+``bench_scheduler.py`` and ``bench_simulator.py`` time the simulator's
+execution modes at a reduced input scale.  Paper figures are regenerated by
+``repro figure <name>`` and graded by ``repro paper``, not here.  Run with
+``pytest benchmarks/ --benchmark-only``.
 """
 
 import pytest
@@ -12,17 +12,9 @@ from repro.experiments.runner import SimulationRunner
 
 #: Reduced input scale for benchmark runs.
 BENCH_SCALE = 0.25
-#: Seeds per point (paper uses 5; benches use fewer for runtime).
-BENCH_SEEDS = 2
 
 
 @pytest.fixture(scope="session")
 def runner():
     """One shared app cache across all benchmarks."""
     return SimulationRunner(scale=BENCH_SCALE)
-
-
-@pytest.fixture(scope="session")
-def jpeg_runner():
-    """Larger jpeg instance for the figures that need error drama."""
-    return SimulationRunner(scale=1.0)

@@ -15,6 +15,13 @@ Two classes of doc rot this catches:
   code or ``python -m repro ...`` invocation) must be a real subcommand
   of :func:`repro.cli.build_parser`, and — when checking the full doc
   set — every real subcommand must be documented somewhere.
+* **Stale names** — in the docs that describe the current state
+  (:data:`CURRENT_STATE_DOCS`), every inline-code repo path
+  (``src/…``, ``tests/…``, ``benchmarks/…``, ``scripts/…``,
+  ``examples/…``, ``perfbench/…``; globs allowed) must exist, and every
+  inline-code dotted name under ``repro.`` must import (a module, or an
+  attribute chain on one).  Sections headed "Removed …" list retired
+  names on purpose and are skipped.
 
 Exit status 0 = clean; 1 = problems (each printed one per line).
 Run as ``PYTHONPATH=src python scripts/check_docs.py [files...]``;
@@ -24,6 +31,7 @@ with no arguments it checks every ``*.md`` at the repo root.
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -43,6 +51,24 @@ SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 #: or a module invocation (python -m repro sweep ...).  The backtick /
 #: ``-m`` anchor keeps prose like "the repro package" out of scope.
 CLI_REF_RE = re.compile(r"(?:`|-m )repro\s+([a-z][a-z-]*)")
+
+#: Docs whose repo paths and ``repro.`` names must resolve today
+#: (ROADMAP, CHANGES and REPRODUCTION are history or generated output).
+CURRENT_STATE_DOCS = frozenset({
+    "README.md",
+    "DESIGN.md",
+    "ARCHITECTURE.md",
+    "EXPERIMENTS.md",
+    "OBSERVABILITY.md",
+    "FAULTS.md",
+})
+
+INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
+REPO_PATH_RE = re.compile(
+    r"(?<![\w./-])((?:src|tests|benchmarks|scripts|examples|perfbench)/[\w./*-]*)"
+)
+MODULE_NAME_RE = re.compile(r"(?<![\w./-])(repro(?:\.(?:\w|\*)+)+)")
+HEADING_RE = re.compile(r"^(#+)\s+(.*)$")
 
 
 def cli_subcommands() -> set[str]:
@@ -134,6 +160,73 @@ def check_cli_references(
     return problems
 
 
+def current_state_lines(text: str):
+    """Yield ``(line_number, line)`` outside fenced blocks and outside
+    sections whose heading starts with "Removed"."""
+    in_fence = False
+    removed_level = 0
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            continue
+        heading = HEADING_RE.match(line)
+        if heading:
+            level = len(heading.group(1))
+            if removed_level and level <= removed_level:
+                removed_level = 0
+            if not removed_level and heading.group(2).startswith("Removed"):
+                removed_level = level
+            continue
+        if not removed_level:
+            yield number, line
+
+
+def repo_path_exists(ref: str) -> bool:
+    if "*" in ref:
+        return any(REPO_ROOT.glob(ref))
+    return (REPO_ROOT / ref).exists()
+
+
+def repro_name_resolves(name: str) -> bool:
+    """True when *name* is an importable module under ``repro`` or an
+    attribute chain on one; ``*`` matches module names."""
+    parts = name.split(".")
+    if any("*" in part for part in parts):
+        pattern = "/".join(["src", *parts])
+        return any(REPO_ROOT.glob(pattern + ".py")) or any(
+            REPO_ROOT.glob(pattern + "/__init__.py")
+        )
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def check_names(path: Path, text: str) -> list[str]:
+    """Stale repo paths and ``repro.`` names in a current-state doc."""
+    problems = []
+    for line, content in current_state_lines(text):
+        for code in INLINE_CODE_RE.findall(content):
+            for ref in REPO_PATH_RE.findall(code):
+                if not repo_path_exists(ref.rstrip(".")):
+                    problems.append(f"{path.name}:{line}: no such path `{ref}`")
+            for name in MODULE_NAME_RE.findall(code):
+                if not repro_name_resolves(name.rstrip(".")):
+                    problems.append(
+                        f"{path.name}:{line}: `{name}` does not resolve"
+                    )
+    return problems
+
+
 def check_file(
     path: Path,
     subcommands: set[str] | None = None,
@@ -144,11 +237,14 @@ def check_file(
     if seen is None:
         seen = set()
     text = path.read_text(encoding="utf-8")
-    return (
+    problems = (
         check_links(path, text)
         + check_snippets(path, text)
         + check_cli_references(path, text, subcommands, seen)
     )
+    if path.name in CURRENT_STATE_DOCS:
+        problems += check_names(path, text)
+    return problems
 
 
 def main(argv: list[str]) -> int:

@@ -50,7 +50,7 @@ from repro.experiments.cache import (
     spec_to_dict,
 )
 from repro.experiments.options import EngineOptions
-from repro.experiments.store import RunStore, derive_campaign_id, resolve_store
+from repro.experiments.store import RunStore, derive_campaign_id
 from repro.experiments.parallel import (
     FailureRecord,
     ParallelRunner,
@@ -869,11 +869,15 @@ def sweep(
             )
         return SweepReport(app=bench, points=points, options=options)
 
-    run_store = resolve_store(options.store, options.cache)
-    if options.store is not None and run_store is not None:
-        # An explicitly chosen store records the sweep as a campaign.
+    # An explicitly chosen store records the sweep as a campaign.
+    recorded = options.store is not None and options.store is not False
+    if recorded:
         campaign = campaign or derive_campaign_id(specs, scale)
-        run_store.begin_campaign(
+    runner = ParallelRunner.from_options(
+        options, scale=scale, campaign=campaign, profiler=engine
+    )
+    if recorded:
+        runner.store.begin_campaign(
             campaign,
             specs,
             scale,
@@ -881,18 +885,6 @@ def sweep(
             metric=bench.metric,
             options=_options_to_dict(options),
         )
-    runner = ParallelRunner(
-        scale=scale,
-        jobs=options.jobs,
-        trace_dir=options.trace_dir,
-        retries=options.retries,
-        run_timeout=options.run_timeout,
-        retry_backoff=options.retry_backoff,
-        strict=not options.keep_going,
-        store=run_store,
-        campaign=campaign,
-        profiler=engine,
-    )
     with engine_span(
         engine, "sweep", app=bench.name, points=len(specs), jobs=options.jobs
     ):

@@ -64,6 +64,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro import api
@@ -265,20 +266,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     options = _sweep_options(args)
-    store = resolve_store(options.store, options.cache)
+    progress = _progress_printer() if args.progress else None
     if args.resume is not None:
-        return _sweep_resume(args, store)
+        return _sweep_resume(args, options, progress)
     protection = ProtectionLevel.parse(args.protection)
-    runner = ParallelRunner(
-        scale=args.scale,
-        jobs=args.jobs,
-        progress=_progress_printer() if args.progress else None,
-        trace_dir=args.trace_dir,
-        retries=args.retries,
-        run_timeout=args.run_timeout,
-        strict=not args.keep_going,
-        store=store,
+    runner = ParallelRunner.from_options(
+        options, scale=args.scale, progress=progress
     )
+    store = runner.store
     app = runner.app(args.app)
     ladder = [_parse_mtbe(text) for text in args.mtbe]
     specs = [
@@ -411,24 +406,23 @@ def _sweep_options(args: argparse.Namespace) -> EngineOptions:
     )
 
 
-def _sweep_resume(args: argparse.Namespace, store: RunStore) -> int:
+def _sweep_resume(
+    args: argparse.Namespace, options: EngineOptions, progress
+) -> int:
     """Resume a stored campaign: run only its missing points, then render
     (and optionally write) the campaign's canonical report."""
+    store = resolve_store(options.store, options.cache)
     try:
         status = store.campaign(args.resume)
     except ValueError as error:
         print(f"repro sweep: {error}", file=sys.stderr)
         return 2
     print(f"[sweep] resuming {status.summary()}", file=sys.stderr)
-    runner = ParallelRunner(
+    # The campaign's own scale, not the command line's.
+    runner = ParallelRunner.from_options(
+        replace(options, scale=None, store=store),
         scale=status.scale,
-        jobs=args.jobs,
-        progress=_progress_printer() if args.progress else None,
-        trace_dir=args.trace_dir,
-        retries=args.retries,
-        run_timeout=args.run_timeout,
-        strict=not args.keep_going,
-        store=store,
+        progress=progress,
         campaign=args.resume,
     )
     try:

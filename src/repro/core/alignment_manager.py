@@ -32,7 +32,6 @@ from repro.core.header import (
 )
 from repro.core.queue_manager import GuardedQueue
 from repro.core.stats import CommGuardStats
-from repro.core.trace import TraceKind
 from repro.observability.events import AlignmentAction
 
 # Enum members bound to module names once: on CPython 3.11 each
@@ -70,8 +69,6 @@ class AlignmentManager:
         self.pending_header: int | None = None
         #: True once the producer's end-of-computation header was seen.
         self.producer_finished = False
-        #: Optional trace hook: (TraceKind, active_fc, detail) -> None.
-        self.observer = None
         #: Optional structured-event sink (set by the system builder) plus
         #: the (thread, qid) identity stamped on every emitted event.
         self.tracer = None
@@ -79,10 +76,6 @@ class AlignmentManager:
         self.qid = queue.qid
 
     # -- tracing -----------------------------------------------------------------
-
-    def _notify(self, kind: TraceKind, active_fc: int, detail: str = "") -> None:
-        if self.observer is not None:
-            self.observer(kind, active_fc, detail)
 
     def _emit_action(self, action: str, active_fc: int, reason: str) -> None:
         self.tracer.emit(
@@ -95,16 +88,10 @@ class AlignmentManager:
             )
         )
 
-    def _apply(self, event: AlignmentEvent, active_fc: int) -> "AlignmentState":
-        """Run one FSM transition, tracing state changes."""
+    def _apply(self, event: AlignmentEvent) -> "AlignmentState":
+        """Run one FSM transition; returns the state it left."""
         previous = self.state
         self.state = transition(previous, event)
-        if self.state is not previous and self.observer is not None:
-            self._notify(
-                TraceKind.TRANSITION,
-                active_fc,
-                f"{previous.value} -> {self.state.value} on {event.value}",
-            )
         return previous
 
     # -- event: new frame computation ---------------------------------------
@@ -115,10 +102,10 @@ class AlignmentManager:
         self._stats.fsm_ops += 1
         if self.state is _PDG:
             if self.pending_header is not None and active_fc >= self.pending_header:
-                self._apply(_FC_MATCHED_HEADER, active_fc)
+                self._apply(_FC_MATCHED_HEADER)
                 self.pending_header = None
         else:
-            self._apply(_NEW_FRAME_COMPUTATION, active_fc)
+            self._apply(_NEW_FRAME_COMPUTATION)
 
     # -- event: pop instruction ----------------------------------------------
 
@@ -136,7 +123,6 @@ class AlignmentManager:
         """
         if self.state is _PDG:
             self._stats.pads += 1
-            self._notify(TraceKind.PAD, active_fc, "padding until matched frame")
             if self.tracer is not None:
                 self._emit_action("pad", active_fc, "padding until matched frame")
             return self._pad_word
@@ -146,7 +132,6 @@ class AlignmentManager:
                 if self.producer_finished:
                     # Producer done and drained: every further pop pads.
                     self._stats.pads += 1
-                    self._notify(TraceKind.PAD, active_fc, "producer finished")
                     if self.tracer is not None:
                         self._emit_action("pad", active_fc, "producer finished")
                     return self._pad_word
@@ -156,11 +141,10 @@ class AlignmentManager:
                 if self.state is _RCV_CMP:
                     return unit_word(unit)
                 if self.state is _EXP_HDR:
-                    self._apply(_RECEIVED_ITEM, active_fc)
+                    self._apply(_RECEIVED_ITEM)
                     self._stats.fsm_ops += 1
                     self._stats.discard_events += 1
                 self._stats.discarded_items += 1
-                self._notify(TraceKind.DISCARD_ITEM, active_fc, "extra item drained")
                 if self.tracer is not None:
                     self._emit_action(
                         "discard-item", active_fc, "extra item drained"
@@ -175,9 +159,6 @@ class AlignmentManager:
                 # the next boundary.
                 self._stats.ecc_uncorrectable += 1
                 self._stats.discarded_headers += 1
-                self._notify(
-                    TraceKind.DISCARD_HEADER, active_fc, "uncorrectable ECC"
-                )
                 if self.tracer is not None:
                     self._emit_action(
                         "discard-header", active_fc, "uncorrectable ECC"
@@ -247,13 +228,12 @@ class AlignmentManager:
     def _expected_header_next(self, count: int, active_fc: int) -> bool:
         """``ExpHdr`` eligibility of the bulk path: the unit at the pop
         cursor is exactly the codebook header for *active_fc*, at least
-        *count* plain units follow it, and no tracer, observer or profiler
-        is attached (each expects to see the crossing word by word)."""
+        *count* plain units follow it, and no tracer or profiler is
+        attached (each expects to see the crossing word by word)."""
         queue = self._queue
         if (
             self.producer_finished
             or self.tracer is not None
-            or self.observer is not None
             or queue.profiler is not None
         ):
             return False
@@ -274,7 +254,6 @@ class AlignmentManager:
             self.state = _RCV_CMP
             self._stats.fsm_ops += 1
             self._stats.pads += 1
-            self._notify(TraceKind.EOC, active_fc, "producer end-of-computation")
             if self.tracer is not None:
                 self._emit_action("pad", active_fc, "producer end-of-computation")
             return self._pad_word
@@ -284,16 +263,13 @@ class AlignmentManager:
             event = _RECEIVED_PAST_HEADER
         else:
             event = _RECEIVED_FUTURE_HEADER
-        previous = self._apply(event, active_fc)
+        previous = self._apply(event)
         self._stats.fsm_ops += 1
         if event is _RECEIVED_FUTURE_HEADER:
             self.pending_header = frame_id
             if previous is not _PDG:
                 self._stats.pad_events += 1
             self._stats.pads += 1
-            self._notify(
-                TraceKind.PAD, active_fc, f"future header {frame_id} (data lost)"
-            )
             if self.tracer is not None:
                 self._emit_action(
                     "pad", active_fc, f"future header {frame_id} (data lost)"
@@ -303,9 +279,6 @@ class AlignmentManager:
             if previous is _RCV_CMP:
                 self._stats.discard_events += 1
             self._stats.discarded_headers += 1
-            self._notify(
-                TraceKind.DISCARD_HEADER, active_fc, f"stale header {frame_id}"
-            )
             if self.tracer is not None:
                 self._emit_action(
                     "discard-header", active_fc, f"stale header {frame_id}"

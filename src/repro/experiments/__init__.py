@@ -4,12 +4,16 @@ Every module exposes a ``run(...)`` function returning structured results
 and a ``main()`` that prints the same rows/series the paper reports, and
 registers itself in the :mod:`~repro.experiments.registry` — the figure
 registry the CLI derives its dispatch and listings from.  The DESIGN.md
-experiment index maps each paper artifact to its module here and to the
-pytest-benchmark target that regenerates it.
+experiment index maps each paper artifact to its module here, to the
+``repro figure`` command that regenerates it and to the tests that check
+it.
 
-All harnesses accept a ``scale`` parameter shrinking the benchmark inputs
-(and a ``seeds`` count) so the full suite stays laptop-friendly;
-EXPERIMENTS.md records paper-vs-measured values at the recorded scales.
+Every harness takes one :class:`EngineOptions` (``options=``; its
+``scale`` shrinks the benchmark inputs, ``None`` keeps the harness's
+default) and builds its engine with :meth:`ParallelRunner.from_options`;
+a ready ``runner=`` replaces that engine, which is how tests share one
+app cache.  EXPERIMENTS.md records paper-vs-measured values at the
+recorded scales.
 """
 
 from repro.experiments.options import EngineOptions

@@ -19,12 +19,12 @@ through the parallel engine in one fan-out each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
-from repro.experiments.store import resolve_store
 from repro.machine.protection import ProtectionLevel
 from repro.quality.metrics import QUALITY_CAP_DB
 from repro.experiments.registry import register_figure
@@ -56,16 +56,12 @@ def _mean_capped_quality(records) -> float:
 def error_class_decomposition(
     app_name: str = "jpeg",
     mtbe: float = 400_000,
-    scale: float = 1.0,
     n_seeds: int = 3,
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> list[ClassAblationCell]:
     """Quality per (error class, protection level), unmasked errors only."""
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    runner = runner or ParallelRunner.from_options(options, scale=1.0)
     cells_axes = [
         (class_name, level)
         for class_name in CLASS_MODELS
@@ -96,17 +92,13 @@ def error_class_decomposition(
 def masking_sensitivity(
     app_name: str = "jpeg",
     mtbe: float = 256_000,
-    scale: float = 1.0,
     n_seeds: int = 3,
     masking_rates: tuple[float, ...] = (0.0, 0.5, 0.8, 0.95),
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> dict[float, float]:
     """Mean CommGuard quality vs the masked fraction of injected errors."""
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    runner = runner or ParallelRunner.from_options(options, scale=1.0)
     specs = [
         RunSpec(
             app=app_name,
@@ -129,16 +121,15 @@ def masking_sensitivity(
 
 def workset_size_overhead(
     app_name: str = "jpeg",
-    scale: float = 0.5,
     workset_sizes: tuple[int, ...] = (8, 32, 256, 2048),
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> dict[int, float]:
-    """ECC suboperations per committed instruction vs working-set size."""
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    """ECC suboperations per committed instruction vs working-set size.
+
+    Without a *runner* the apps build at scale 0.5 unless ``options.scale``
+    says otherwise."""
+    runner = runner or ParallelRunner.from_options(options, scale=0.5)
     specs = [
         RunSpec(
             app=app_name,
@@ -155,15 +146,8 @@ def workset_size_overhead(
     }
 
 
-def main(
-    scale: float = 1.0,
-    n_seeds: int = 3,
-    jobs: int | None = None,
-    cache=None,
-) -> str:
-    runner = ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+def main(n_seeds: int = 3, options: EngineOptions | None = None) -> str:
+    runner = ParallelRunner.from_options(options, scale=1.0)
     sections = []
 
     cells = error_class_decomposition(n_seeds=n_seeds, runner=runner)
@@ -193,10 +177,10 @@ def main(
         )
     )
 
+    # The working-set sweep has its own default scale, on the same store.
+    store = False if runner.store is None else runner.store
     worksets = workset_size_overhead(
-        runner=ParallelRunner(
-            scale=0.5, jobs=jobs, store=resolve_store(cache=cache)
-        )
+        options=replace(options or EngineOptions(), store=store)
     )
     sections.append(
         "Ablation: QM ECC suboperation ratio vs working-set size (error-free)\n"

@@ -33,7 +33,7 @@ from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
-from repro.experiments.store import RunStore, derive_campaign_id, resolve_store
+from repro.experiments.store import RunStore, derive_campaign_id
 from repro.machine.protection import ProtectionLevel
 from repro.quality.metrics import QUALITY_CAP_DB
 from repro.experiments.registry import register_figure
@@ -122,7 +122,6 @@ def run_campaign(
     frame_scale: int = 1,
     spec: RunSpec | None = None,
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
     store: "RunStore | str | bool | None" = None,
     campaign_id: str | None = None,
 ) -> CampaignResult:
@@ -177,7 +176,7 @@ def run_campaign(
             campaign_id, specs, runner.scale, app=app_name, metric="snr"
         )
         runner.attach_store(run_store, campaign=campaign_id)
-    records = runner.run_specs(specs, jobs=jobs)
+    records = runner.run_specs(specs)
 
     result = CampaignResult(app=app_name, protection=protection, mtbe=mtbe)
     for outcome in Outcome:
@@ -198,10 +197,7 @@ def compare_protections(
     app_name: str = "jpeg",
     mtbe: float = 400_000,
     n_runs: int = 10,
-    scale: float = 1.0,
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
     protections: tuple[ProtectionLevel, ...] = (
         ProtectionLevel.PPU_ONLY,
         ProtectionLevel.PPU_RELIABLE_QUEUE,
@@ -211,18 +207,11 @@ def compare_protections(
 ) -> dict[ProtectionLevel, CampaignResult]:
     """One campaign per protection level, same app and error process.
 
-    *options* is the shared :class:`EngineOptions` spelling of the engine
-    knobs; when given it supersedes the loose ``scale``/``jobs``/``cache``
-    arguments and its ``store`` makes every per-protection campaign
+    An explicit ``options.store`` makes every per-protection campaign
     resumable.
     """
-    store = None
-    if options is not None:
-        scale = options.scale if options.scale is not None else scale
-        jobs, cache, store = options.jobs, options.cache, options.store
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(store, cache)
-    )
+    store = None if options is None else options.store
+    runner = runner or ParallelRunner.from_options(options, scale=1.0)
     return {
         protection: run_campaign(
             app_name, protection, mtbe, n_runs=n_runs, runner=runner, store=store
@@ -235,14 +224,10 @@ def main(
     app_name: str = "jpeg",
     mtbe: float = 400_000,
     n_runs: int = 10,
-    scale: float = 1.0,
-    jobs: int | None = None,
-    cache=None,
     options: EngineOptions | None = None,
 ) -> str:
     results = compare_protections(
-        app_name, mtbe=mtbe, n_runs=n_runs, scale=scale, jobs=jobs, cache=cache,
-        options=options,
+        app_name, mtbe=mtbe, n_runs=n_runs, options=options
     )
     rows = []
     for protection, campaign in results.items():

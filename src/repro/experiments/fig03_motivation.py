@@ -17,10 +17,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
-from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import seed_list
 from repro.machine.protection import ProtectionLevel
 from repro.quality.images import write_ppm
@@ -56,16 +56,12 @@ def _seeds_for(protection: ProtectionLevel, n_seeds: int) -> list[int]:
 
 def run(
     mtbe: float = 1_000_000,
-    scale: float = 2.0,
     n_seeds: int = 3,
     dump_dir: str | None = None,
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> list[Fig3Row]:
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    runner = runner or ParallelRunner.from_options(options, scale=2.0)
     if dump_dir is not None:
         return _run_with_dump(mtbe, n_seeds, dump_dir, runner)
     grid = [
@@ -128,15 +124,11 @@ def _run_with_dump(
 
 
 def main(
-    scale: float = 2.0,
     n_seeds: int = 3,
     dump_dir: str | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> str:
-    rows = run(
-        scale=scale, n_seeds=n_seeds, dump_dir=dump_dir, jobs=jobs, cache=cache
-    )
+    rows = run(n_seeds=n_seeds, dump_dir=dump_dir, options=options)
     text = "Figure 3: jpeg under protection mechanisms (MTBE = 1M instructions)\n"
     text += format_table(
         ["configuration", "mean PSNR (dB)", "min", "max"],

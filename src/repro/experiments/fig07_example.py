@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.parallel import RunSpec
+from repro.experiments.options import EngineOptions
+from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.report import db_or_errorfree, format_table
 from repro.experiments.runner import SimulationRunner
 from repro.experiments.registry import register_figure
@@ -28,12 +29,12 @@ class Fig7Result:
 
 def run(
     mtbe: float = 512_000,
-    scale: float = 2.0,
     seed: int = 0,
     runner: SimulationRunner | None = None,
+    options: EngineOptions | None = None,
 ) -> Fig7Result:
-    runner = runner or SimulationRunner(scale=scale)
-    record = runner.execute_spec(RunSpec(app="jpeg", mtbe=mtbe, seed=seed))
+    runner = runner or ParallelRunner.from_options(options, scale=2.0)
+    (record,) = runner.run_specs([RunSpec(app="jpeg", mtbe=mtbe, seed=seed)])
     return Fig7Result(
         psnr_db=record.quality_db,
         pad_events=record.pad_events,
@@ -44,8 +45,8 @@ def run(
     )
 
 
-def main(scale: float = 2.0, seed: int = 0) -> str:
-    result = run(scale=scale, seed=seed)
+def main(seed: int = 0, options: EngineOptions | None = None) -> str:
+    result = run(seed=seed, options=options)
     text = "Figure 7: example jpeg run with CommGuard (MTBE = 512k)\n"
     text += format_table(
         ["metric", "value"],

@@ -13,28 +13,24 @@ engine.
 from __future__ import annotations
 
 from repro.apps.registry import APP_ORDER
+from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.plotting import loss_chart
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
-from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import MTBE_LADDER_LOSS, seed_list
 from repro.experiments.registry import register_figure
 
 
 def run(
-    scale: float = 1.0,
     n_seeds: int = 3,
     apps: tuple[str, ...] = APP_ORDER,
     ladder: tuple[int, ...] = MTBE_LADDER_LOSS,
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> dict[str, dict[int, float]]:
     """Returns {app: {mtbe: mean loss ratio}}."""
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    runner = runner or ParallelRunner.from_options(options, scale=1.0)
     seeds = seed_list(n_seeds)
     grid = [(app, mtbe) for app in apps for mtbe in ladder]
     records = runner.run_specs(
@@ -52,10 +48,8 @@ def run(
     return results
 
 
-def main(
-    scale: float = 1.0, n_seeds: int = 3, jobs: int | None = None, cache=None
-) -> str:
-    results = run(scale=scale, n_seeds=n_seeds, jobs=jobs, cache=cache)
+def main(n_seeds: int = 3, options: EngineOptions | None = None) -> str:
+    results = run(n_seeds=n_seeds, options=options)
     ladder = sorted(next(iter(results.values())))
     headers = ["app"] + [f"{m // 1000}k" for m in ladder]
     rows = [

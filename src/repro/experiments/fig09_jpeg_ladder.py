@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import os
 
+from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.plotting import quality_chart
 from repro.experiments.report import db_or_errorfree, format_table
 from repro.experiments.runner import SimulationRunner
-from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import seed_list
 from repro.quality.images import write_ppm
 from repro.experiments.registry import register_figure
@@ -26,18 +26,14 @@ PAPER_PSNR = {128_000: 14.7, 512_000: 18.6, 2_048_000: 28.6, 8_192_000: 35.6}
 
 
 def run(
-    scale: float = 2.0,
     n_seeds: int = 3,
     ladder: tuple[int, ...] = LADDER,
     dump_dir: str | None = None,
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> dict[int, float]:
     """Returns {mtbe: mean PSNR (dB, capped at the error-free baseline)}."""
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    runner = runner or ParallelRunner.from_options(options, scale=2.0)
     baseline = runner.app("jpeg").baseline_quality()
     if dump_dir is not None:
         return _run_with_dump(n_seeds, ladder, dump_dir, runner, baseline)
@@ -77,15 +73,11 @@ def _run_with_dump(
 
 
 def main(
-    scale: float = 2.0,
     n_seeds: int = 3,
     dump_dir: str | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> str:
-    runner = ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    runner = ParallelRunner.from_options(options, scale=2.0)
     results = run(n_seeds=n_seeds, dump_dir=dump_dir, runner=runner)
     baseline = runner.app("jpeg").baseline_quality()
     rows = [

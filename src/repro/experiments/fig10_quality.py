@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 from repro.experiments.aggregate import summarize
+from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.plotting import quality_chart
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
-from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import (
     FRAME_SCALES,
     MTBE_LADDER_QUALITY,
@@ -48,19 +48,15 @@ class QualityPoint:
 
 def run_app(
     app_name: str,
-    scale: float = 1.0,
     n_seeds: int = 3,
     frame_scales: tuple[int, ...] = (1,),
     ladder: tuple[int, ...] = MTBE_LADDER_QUALITY,
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
     fault_model: str = "bit_flip",
+    options: EngineOptions | None = None,
 ) -> list[QualityPoint]:
     """Quality per (frame scale, MTBE), one engine fan-out for the grid."""
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    runner = runner or ParallelRunner.from_options(options, scale=1.0)
     seeds = seed_list(n_seeds)
     grid = [
         (frame_scale, mtbe) for frame_scale in frame_scales for mtbe in ladder
@@ -98,17 +94,13 @@ def run_app(
 
 
 def run(
-    scale: float = 1.0,
     n_seeds: int = 3,
     ladder: tuple[int, ...] = MTBE_LADDER_QUALITY,
     mp3_frame_scales: tuple[int, ...] = FRAME_SCALES,
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> dict[str, list[QualityPoint]]:
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    runner = runner or ParallelRunner.from_options(options, scale=1.0)
     return {
         "jpeg": run_app("jpeg", n_seeds=n_seeds, ladder=ladder, runner=runner),
         "mp3": run_app(
@@ -135,12 +127,8 @@ def _series_table(points: list[QualityPoint]) -> str:
     return format_table(headers, rows)
 
 
-def main(
-    scale: float = 1.0, n_seeds: int = 3, jobs: int | None = None, cache=None
-) -> str:
-    runner = ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+def main(n_seeds: int = 3, options: EngineOptions | None = None) -> str:
+    runner = ParallelRunner.from_options(options, scale=1.0)
     results = run(n_seeds=n_seeds, runner=runner)
     jpeg_base = runner.app("jpeg").baseline_quality()
     mp3_base = runner.app("mp3").baseline_quality()

@@ -9,11 +9,11 @@ sweeps the 2x/4x/8x frame sizes, as in the paper's Fig. 11c.
 from __future__ import annotations
 
 from repro.experiments.fig10_quality import QualityPoint, run_app
+from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.plotting import quality_chart
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner
-from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import FRAME_SCALES, MTBE_LADDER_QUALITY
 from repro.experiments.registry import register_figure
 
@@ -21,17 +21,13 @@ APPS = ("audiobeamformer", "channelvocoder", "complex-fir", "fft")
 
 
 def run(
-    scale: float = 1.0,
     n_seeds: int = 3,
     ladder: tuple[int, ...] = MTBE_LADDER_QUALITY,
     fir_frame_scales: tuple[int, ...] = FRAME_SCALES,
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> dict[str, list[QualityPoint]]:
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    runner = runner or ParallelRunner.from_options(options, scale=1.0)
     results = {}
     for app in APPS:
         frame_scales = fir_frame_scales if app == "complex-fir" else (1,)
@@ -45,10 +41,8 @@ def run(
     return results
 
 
-def main(
-    scale: float = 1.0, n_seeds: int = 3, jobs: int | None = None, cache=None
-) -> str:
-    results = run(scale=scale, n_seeds=n_seeds, jobs=jobs, cache=cache)
+def main(n_seeds: int = 3, options: EngineOptions | None = None) -> str:
+    results = run(n_seeds=n_seeds, options=options)
     sections = []
     for app, points in results.items():
         scales = sorted({p.frame_scale for p in points})

@@ -12,27 +12,23 @@ with larger frames.
 from __future__ import annotations
 
 from repro.apps.registry import APP_ORDER
+from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner, geometric_mean
-from repro.experiments.store import resolve_store
 from repro.experiments.sweeps import FRAME_SCALES
 from repro.machine.protection import ProtectionLevel
 from repro.experiments.registry import register_figure
 
 
 def run(
-    scale: float = 1.0,
     apps: tuple[str, ...] = APP_ORDER,
     frame_scales: tuple[int, ...] = FRAME_SCALES,
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> dict[str, dict[int, float]]:
     """Returns {app: {frame_scale: overhead fraction}} + "GMean"."""
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    runner = runner or ParallelRunner.from_options(options, scale=1.0)
     baseline_specs = [
         RunSpec(app=app, protection=ProtectionLevel.ERROR_FREE) for app in apps
     ]
@@ -61,8 +57,8 @@ def run(
     return results
 
 
-def main(scale: float = 1.0, jobs: int | None = None, cache=None) -> str:
-    results = run(scale=scale, jobs=jobs, cache=cache)
+def main(options: EngineOptions | None = None) -> str:
+    results = run(options=options)
     frame_scales = sorted(next(iter(results.values())))
     headers = ["app"] + [f"{fs}x frames %" for fs in frame_scales]
     rows = [

@@ -10,10 +10,10 @@ header-bit checks the most frequent class.
 from __future__ import annotations
 
 from repro.apps.registry import APP_ORDER
+from repro.experiments.options import EngineOptions
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationRunner, geometric_mean
-from repro.experiments.store import resolve_store
 from repro.machine.protection import ProtectionLevel
 from repro.experiments.registry import register_figure
 
@@ -21,16 +21,12 @@ SERIES = ("fsm_counter", "ecc", "header_bit", "total")
 
 
 def run(
-    scale: float = 1.0,
     apps: tuple[str, ...] = APP_ORDER,
     runner: SimulationRunner | None = None,
-    jobs: int | None = None,
-    cache=None,
+    options: EngineOptions | None = None,
 ) -> dict[str, dict[str, float]]:
     """Returns {app: {series: ratio}} + "GMean"."""
-    runner = runner or ParallelRunner(
-        scale=scale, jobs=jobs, store=resolve_store(cache=cache)
-    )
+    runner = runner or ParallelRunner.from_options(options, scale=1.0)
     records = runner.run_specs(
         [
             RunSpec(app=app, protection=ProtectionLevel.COMMGUARD, mtbe=None)
@@ -47,8 +43,8 @@ def run(
     return results
 
 
-def main(scale: float = 1.0, jobs: int | None = None, cache=None) -> str:
-    results = run(scale=scale, jobs=jobs, cache=cache)
+def main(options: EngineOptions | None = None) -> str:
+    results = run(options=options)
     headers = ["app"] + [f"{s} %" for s in SERIES]
     rows = [
         [app] + [100.0 * ratios[s] for s in SERIES]

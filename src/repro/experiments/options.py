@@ -1,13 +1,15 @@
 """Engine options shared by every execution entry point.
 
 :func:`repro.api.run`, :func:`repro.api.sweep`, the CLI (``repro run`` /
-``repro figure`` / ``repro sweep``) and the
-:class:`~repro.experiments.registry.FigureSpec` runners all accept the
-same knobs through this dataclass — the single documented spelling of
-"how should the engine execute this", so a figure harness and an API
-sweep configured the same way build the same
-:class:`~repro.experiments.parallel.ParallelRunner`, and a single
-:func:`~repro.api.run` call reuses the very same option names.
+``repro figure`` / ``repro sweep`` / ``repro paper``), the
+:class:`~repro.experiments.registry.FigureSpec` runners and every figure
+harness's ``main(options=...)`` accept the same knobs through this
+dataclass — the single documented spelling of "how should the engine
+execute this".  Batch entry points turn it into an engine through one
+constructor, :meth:`~repro.experiments.parallel.ParallelRunner.from_options`,
+so a figure harness and an API sweep configured the same way build the
+same runner, and a single :func:`~repro.api.run` call reuses the very same
+option names.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ import json
 import math
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -57,12 +57,7 @@ from repro.experiments.parallel import ParallelRunner, RunSpec, SweepStats
 from repro.experiments.plotting import ascii_chart
 from repro.experiments.registry import figure_specs
 from repro.experiments.report import format_table
-from repro.experiments.store import (
-    RunStore,
-    _git_describe,
-    derive_campaign_id,
-    resolve_store,
-)
+from repro.experiments.store import RunStore, _git_describe, derive_campaign_id
 
 #: Version tag of the ``reproduction.json`` document.  Bump on
 #: incompatible shape changes; readers reject newer documents by name.
@@ -278,21 +273,30 @@ def run_paper(
     """Execute every registered paper target at *tier* and grade it.
 
     *options* carries the engine knobs (``jobs``, ``retries``,
-    ``run_timeout``, ``store``, ``exec_mode``); ``options.store=None``
-    selects the default store — the pipeline always records a campaign,
-    that is what makes it resumable.  ``options.scale`` is ignored: the
-    tier owns the scale.  The grid runs keep-going (a failed spec SKIPs
-    its targets instead of aborting the reproduction).
+    ``run_timeout``, ``retry_backoff``, ``trace_dir``, ``store``);
+    ``options.store=None`` selects the default store — the pipeline
+    always records a campaign, that is what makes it resumable.
+    ``options.scale`` is ignored: the tier owns the scale.  The grid runs
+    keep-going (a failed spec SKIPs its targets instead of aborting the
+    reproduction).
     """
     import time
 
     tier = resolve_tier(tier)
-    opts = options or EngineOptions()
-    # Always a store, whatever ``opts.cache`` says: it makes the run resumable.
-    store = resolve_store(opts.store, cache=True)
     targets = collect_targets()
     specs, needs = _dedup_specs(targets, tier)
     campaign = derive_campaign_id(specs, tier.app_scale)
+    # The tier owns the scale.  Always a store, whatever ``options.cache``
+    # says: it makes the run resumable.
+    runner = ParallelRunner.from_options(
+        replace(
+            options or EngineOptions(), scale=None, cache=True, keep_going=True
+        ),
+        scale=tier.app_scale,
+        progress=progress,
+        campaign=campaign,
+    )
+    store = runner.store
     store.begin_campaign(
         campaign,
         specs,
@@ -300,17 +304,6 @@ def run_paper(
         app="paper",
         metric="fidelity",
         options={"tier": tier.name, "seeds": tier.seeds},
-    )
-    runner = ParallelRunner(
-        scale=tier.app_scale,
-        jobs=opts.jobs,
-        retries=opts.retries,
-        run_timeout=opts.run_timeout,
-        retry_backoff=opts.retry_backoff,
-        strict=False,
-        progress=progress,
-        store=store,
-        campaign=campaign,
     )
     start = time.time()
     records = runner.run_specs(specs)

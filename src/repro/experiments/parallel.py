@@ -48,7 +48,8 @@ from typing import Callable, Sequence
 
 from repro.core.config import CommGuardConfig
 from repro.experiments.cache import spec_key
-from repro.experiments.store import RunStore
+from repro.experiments.options import EngineOptions
+from repro.experiments.store import RunStore, resolve_store
 from repro.experiments.runner import (
     RunRecord,
     SimulationRunner,
@@ -490,6 +491,41 @@ class ParallelRunner(SimulationRunner):
         self.last_stats: SweepStats | None = None
         self.store = RunStore.coerce(store)
         self.campaign = campaign
+
+    @classmethod
+    def from_options(
+        cls,
+        options: EngineOptions | None,
+        *,
+        scale: float,
+        progress: Callable[[SweepStats], None] | None = None,
+        campaign: str | None = None,
+        profiler=None,
+    ) -> "ParallelRunner":
+        """The runner an :class:`EngineOptions` describes (``None`` means
+        the defaults).
+
+        The one place engine options become a runner, so every batch entry
+        point obeys the same rules: ``options.scale`` wins over the
+        caller's default *scale*; the store is
+        :func:`~repro.experiments.store.resolve_store` of
+        ``options.store`` and ``options.cache``; ``keep_going`` turns
+        strict mode off.
+        """
+        options = options or EngineOptions()
+        return cls(
+            scale=scale if options.scale is None else options.scale,
+            jobs=options.jobs,
+            progress=progress,
+            trace_dir=options.trace_dir,
+            retries=options.retries,
+            run_timeout=options.run_timeout,
+            retry_backoff=options.retry_backoff,
+            strict=not options.keep_going,
+            store=resolve_store(options.store, options.cache),
+            campaign=campaign,
+            profiler=profiler,
+        )
 
     def attach_store(self, store: RunStore, campaign: str | None = None) -> None:
         """Make *store* this runner's system of record (and *campaign*,

@@ -9,15 +9,15 @@ there is no hand-maintained dispatch table to drift out of sync.
 ``figNN`` names get their zero-padded spelling as an automatic alias
 (``fig3`` <-> ``fig03``), so both forms resolve.
 
-Running a spec funnels the shared :class:`EngineOptions` into whatever
-subset of ``(scale, jobs, cache)`` the harness's ``main()`` supports and
-wraps the output in a :class:`FigureArtifact`.
+Running a spec hands the whole :class:`EngineOptions` to the harness's
+``main(options=...)``, which builds its engine with
+:meth:`~repro.experiments.parallel.ParallelRunner.from_options`, and wraps
+the output in a :class:`FigureArtifact`.
 """
 
 from __future__ import annotations
 
 import importlib
-import inspect
 import re
 from dataclasses import dataclass
 
@@ -50,27 +50,13 @@ class FigureSpec:
         return (self.name, *self.aliases)
 
     def run(self, options: EngineOptions | None = None) -> FigureArtifact:
-        """Regenerate the artifact through the shared engine options.
-
-        A harness whose ``main()`` accepts ``options`` receives the whole
-        :class:`EngineOptions` (the preferred convention — store-backed
-        resume included); legacy harnesses get whatever subset of
-        ``(scale, jobs, cache)`` they support.
-        """
+        """Regenerate the artifact: ``main()`` receives the whole
+        :class:`EngineOptions` (``scale=None`` keeps the harness default)."""
         options = options or EngineOptions()
         module = importlib.import_module(self.module)
-        supported = inspect.signature(module.main).parameters
-        kwargs = {}
-        if "options" in supported:
-            kwargs["options"] = options
-        else:
-            if options.scale is not None and "scale" in supported:
-                kwargs["scale"] = options.scale
-            if "jobs" in supported:
-                kwargs["jobs"] = options.jobs
-            if "cache" in supported:
-                kwargs["cache"] = options.cache
-        return FigureArtifact(name=self.name, text=module.main(**kwargs), options=options)
+        return FigureArtifact(
+            name=self.name, text=module.main(options=options), options=options
+        )
 
 
 #: Registration order is display order (`repro list`, `repro figure --list`).

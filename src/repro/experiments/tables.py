@@ -18,6 +18,7 @@ from repro.core.fsm import _TRANSITIONS  # the implemented Table 1
 from repro.core.guard import CommGuard
 from repro.core.queue_manager import GuardedQueue, plan_geometry
 from repro.core.stats import CommGuardStats
+from repro.experiments.options import EngineOptions
 from repro.experiments.report import format_table
 from repro.experiments.registry import register_figure
 
@@ -121,7 +122,8 @@ def storage_text(n_queues: int = 4) -> str:
     )
 
 
-def main() -> str:
+def main(options: EngineOptions | None = None) -> str:
+    """The tables run no simulation, so *options* changes nothing."""
     return "\n\n".join([table1_text(), table2_text(), storage_text()])
 
 

@@ -191,7 +191,6 @@ class TestBulkExpectedHeader:
         [
             pytest.param(lambda am, q: setattr(q, "profiler", object()), id="profiler"),
             pytest.param(lambda am, q: setattr(am, "tracer", object()), id="tracer"),
-            pytest.param(lambda am, q: setattr(am, "observer", print), id="observer"),
         ],
     )
     def test_declines_when_watched(self, attach):

@@ -45,3 +45,15 @@ def always_fail(spec, attempt):
 def fail_everything(spec, attempt):
     """Raise on every attempt at every spec."""
     raise RuntimeError("injected fault")
+
+
+def with_fault_hook(runner_cls, hook):
+    """*runner_cls* with *hook* wedged into every runner it builds, however
+    an entry point constructs it (the CLI and the API have no fault flag of
+    their own)."""
+
+    class HookedRunner(runner_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, fault_hook=hook, **kwargs)
+
+    return HookedRunner

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.experiments import ablations
+from repro.experiments.options import EngineOptions
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import SimulationRunner
 from repro.machine.protection import ProtectionLevel
 
@@ -23,6 +25,24 @@ class TestErrorClassDecomposition:
         for cell in cells:
             assert cell.mean_quality_db <= 96.0
 
+    def test_each_class_lands_where_the_paper_puts_it(self, runner):
+        cells = ablations.error_class_decomposition(
+            mtbe=400_000, n_seeds=2, runner=runner
+        )
+        table = {(c.error_class, c.protection): c.mean_quality_db for c in cells}
+        # Control-flow errors are the class only CommGuard repairs.
+        assert (
+            table[("control-only", ProtectionLevel.COMMGUARD)]
+            > table[("control-only", ProtectionLevel.PPU_RELIABLE_QUEUE)]
+        )
+        # Data errors are tolerable whatever the protection.
+        assert table[("data-only", ProtectionLevel.COMMGUARD)] > 15.0
+        # Address errors wreck the corruptible software queue the most.
+        assert (
+            table[("address-only", ProtectionLevel.COMMGUARD)]
+            >= table[("address-only", ProtectionLevel.PPU_ONLY)] - 0.5
+        )
+
 
 class TestMaskingSensitivity:
     def test_returns_requested_rates(self, runner):
@@ -30,6 +50,13 @@ class TestMaskingSensitivity:
             mtbe=100_000, n_seeds=1, masking_rates=(0.0, 0.9), runner=runner
         )
         assert set(results) == {0.0, 0.9}
+
+    def test_more_masking_never_hurts(self, runner):
+        results = ablations.masking_sensitivity(
+            mtbe=256_000, n_seeds=2, runner=runner
+        )
+        rates = sorted(results)
+        assert results[rates[0]] <= results[rates[-1]] + 0.5
 
     def test_full_masking_equals_error_free(self, runner):
         """With p_masked near 1 and rare errors, quality hits the cap."""
@@ -52,3 +79,34 @@ class TestWorksetSizing:
             workset_sizes=(16,), runner=runner
         )
         assert results[16] > 0
+
+
+class TestEngineOptions:
+    @pytest.fixture
+    def runner_scales(self, monkeypatch):
+        """The build scale of every runner that executes a sweep."""
+        scales = []
+        run_specs = ParallelRunner.run_specs
+
+        def spy(self, specs, jobs=None):
+            scales.append(self.scale)
+            return run_specs(self, specs, jobs)
+
+        monkeypatch.setattr(ParallelRunner, "run_specs", spy)
+        return scales
+
+    def test_cli_scale_reaches_every_sweep(self, runner_scales, capsys):
+        from repro.cli import main
+
+        assert main(
+            ["figure", "ablations", "--scale", "0.05", "--jobs", "1", "--no-cache"]
+        ) == 0
+        assert "working-set size" in capsys.readouterr().out
+        # error classes, masking, working sets: the last one included
+        assert runner_scales == [0.05, 0.05, 0.05]
+
+    def test_workset_sweep_defaults_to_half_scale(self, runner_scales):
+        ablations.workset_size_overhead(
+            workset_sizes=(16,), options=EngineOptions(jobs=1, cache=False)
+        )
+        assert runner_scales == [0.5]

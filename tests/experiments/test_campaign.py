@@ -165,3 +165,6 @@ class TestCampaignRuns:
         assert guarded.mean_quality() > results[
             ProtectionLevel.PPU_RELIABLE_QUEUE
         ].mean_quality()
+        assert guarded.fraction(Outcome.CATASTROPHIC) <= results[
+            ProtectionLevel.PPU_RELIABLE_QUEUE
+        ].fraction(Outcome.CATASTROPHIC)

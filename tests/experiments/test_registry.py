@@ -83,29 +83,33 @@ class TestRun:
         monkeypatch.setitem(sys.modules, "fake_figure_module", module)
         return FigureSpec(name="fake", module="fake_figure_module", description="d")
 
-    def test_run_passes_only_supported_kwargs(self, monkeypatch):
-        seen = {}
+    def test_run_hands_main_the_whole_options(self, monkeypatch):
+        seen = []
 
-        def main(scale=1.0, jobs=None):
-            seen.update(scale=scale, jobs=jobs)
+        def main(**kwargs):
+            seen.append(kwargs)
             return "ok"
 
         spec = self._fake_module(monkeypatch, main)
-        artifact = spec.run(EngineOptions(scale=0.5, jobs=3, cache=False))
+        options = EngineOptions(scale=0.5, jobs=3, cache=False, store="x.sqlite")
+        artifact = spec.run(options)
         assert artifact.text == "ok"
         assert artifact.name == "fake"
-        assert seen == {"scale": 0.5, "jobs": 3}  # cache unsupported: not passed
+        assert artifact.options is options
+        assert seen == [{"options": options}]
 
-    def test_run_keeps_harness_default_scale_when_unset(self, monkeypatch):
-        seen = {}
+    def test_explicit_store_receives_the_rows(self, tmp_path, monkeypatch):
+        """An explicit ``EngineOptions.store`` wins over the default store
+        (``REPRO_STORE``) for a figure, as for every batch entry point."""
+        from repro.experiments.store import ENV_STORE_PATH, RunStore
 
-        def main(scale=0.7, cache=True):
-            seen.update(scale=scale, cache=cache)
-            return "ok"
-
-        spec = self._fake_module(monkeypatch, main)
-        spec.run(EngineOptions(cache=False))  # scale=None: harness default
-        assert seen == {"scale": 0.7, "cache": False}
+        default, chosen = tmp_path / "default.sqlite", tmp_path / "chosen.sqlite"
+        monkeypatch.setenv(ENV_STORE_PATH, str(default))
+        resolve_figure("fig12").run(
+            EngineOptions(scale=0.1, jobs=1, store=str(chosen))
+        )
+        assert len(RunStore(chosen)) == 6  # one error-free run per app
+        assert not default.exists() or len(RunStore(default)) == 0
 
 
 class TestCliIntegration:

@@ -198,17 +198,13 @@ class TestFaultToleranceFlags:
     def faulty_runner(self, monkeypatch):
         # The CLI has no fault flag of its own (the hook is a test seam),
         # so wedge one into the runner it constructs.
-        import functools
-
         from repro import cli
         from tests.experiments import _fault_hooks as hooks
 
         monkeypatch.setattr(
             cli,
             "ParallelRunner",
-            functools.partial(
-                cli.ParallelRunner, fault_hook=hooks.fail_everything
-            ),
+            hooks.with_fault_hook(cli.ParallelRunner, hooks.fail_everything),
         )
 
     def test_strict_failure_aborts_with_hint(self, capsys, faulty_runner):

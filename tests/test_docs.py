@@ -75,3 +75,34 @@ def test_readme_quickstart_doctest_is_live():
     text = (REPO_ROOT / "README.md").read_text()
     blocks = list(check_docs.python_blocks(text))
     assert any(">>>" in source for _start, source in blocks)
+
+
+def test_checker_flags_stale_paths_and_names(tmp_path):
+    text = (
+        "Live: `src/repro/api.py`, `benchmarks/bench_*.py`, `repro.api.run`,\n"
+        "`repro.experiments.fig*` and `repro.observability.AlignmentAction`.\n"
+        "Stale: `python scripts/gone_report.py`, `tests/core/gone*.py`,\n"
+        "`repro.core.trace` and `repro.api.gone`.\n"
+        "```bash\n"
+        "python scripts/fenced_commands_are_not_checked.py\n"
+        "```\n"
+        "## Removed in 9.0\n"
+        "| `repro.core.trace` | retired on purpose |\n"
+        "## Later\n"
+        "`examples/gone.py`\n"
+    )
+    doc = tmp_path / "README.md"
+    doc.write_text(text)
+    problems = check_docs.check_file(doc)
+    assert [p.split(": ", 1)[1] for p in problems] == [
+        "no such path `scripts/gone_report.py`",
+        "no such path `tests/core/gone*.py`",
+        "`repro.core.trace` does not resolve",
+        "`repro.api.gone` does not resolve",
+        "no such path `examples/gone.py`",
+    ]
+    assert problems[0].startswith("README.md:3:")
+
+    notes = tmp_path / "NOTES.md"  # not a current-state doc: history may
+    notes.write_text(text)  # name what is gone
+    assert check_docs.check_file(notes) == []

@@ -12,7 +12,6 @@ Contracts:
   FILE`` printed, byte for byte.
 """
 
-import functools
 import json
 
 import pytest
@@ -94,7 +93,7 @@ class TestSweepReportRoundTrip:
         monkeypatch.setattr(
             api,
             "ParallelRunner",
-            functools.partial(api.ParallelRunner, fault_hook=hooks.always_fail),
+            hooks.with_fault_hook(api.ParallelRunner, hooks.always_fail),
         )
         report = sweep(
             "fft", mtbes="50k", seeds=2,

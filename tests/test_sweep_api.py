@@ -176,17 +176,13 @@ class TestFaultTolerantSweeps:
         assert options.keep_going
 
     def test_parallel_keep_going_marks_failed_points(self, monkeypatch):
-        import functools
-
         from repro import api
         from tests.experiments import _fault_hooks as hooks
 
         monkeypatch.setattr(
             api,
             "ParallelRunner",
-            functools.partial(
-                api.ParallelRunner, fault_hook=hooks.always_fail
-            ),
+            hooks.with_fault_hook(api.ParallelRunner, hooks.always_fail),
         )
         report = sweep(
             "fft",
@@ -209,8 +205,6 @@ class TestFaultTolerantSweeps:
             point.quality_db
 
     def test_parallel_strict_raises(self, monkeypatch):
-        import functools
-
         from repro import api
         from repro.experiments.parallel import SweepRunError
         from tests.experiments import _fault_hooks as hooks
@@ -218,9 +212,7 @@ class TestFaultTolerantSweeps:
         monkeypatch.setattr(
             api,
             "ParallelRunner",
-            functools.partial(
-                api.ParallelRunner, fault_hook=hooks.always_fail
-            ),
+            hooks.with_fault_hook(api.ParallelRunner, hooks.always_fail),
         )
         with pytest.raises(SweepRunError, match="injected fault"):
             sweep("fft", mtbes="50k", seeds=2, options=FAST)
